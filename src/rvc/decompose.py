@@ -131,7 +131,7 @@ def _longest_ear_impl(
     Returns the longest ear, ties broken by lexicographically smallest
     vertex sequence. None when no ear exists. The node budget bounds path
     extensions; on exhaustion the best ear found so far carries the
-    heuristic flag.
+    heuristic flag, and exhaustion before any ear was found raises.
     """
     best: tuple[int, ...] | None = None
     nodes = 0
@@ -180,6 +180,10 @@ def _longest_ear_impl(
 
         dfs(a)
     if best is None:
+        if exhausted:
+            raise BudgetExceededError(
+                "ear search budget exhausted before any ear was found"
+            )
         return None
     return Ear(best, heuristic=exhausted)
 
@@ -197,10 +201,6 @@ def longest_ear(g: Graph, h: Graph, budget: int = DEFAULT_EAR_BUDGET) -> Ear:
         raise PreconditionError("h is not a subgraph of g")
     ear = _longest_ear_impl(g, h_vertices, h_edges, budget)
     if ear is None:
-        if h_edges != set(g.edges):
-            raise BudgetExceededError(
-                "ear search budget exhausted before any ear was found"
-            )
         raise PreconditionError("h already contains every edge of g; no ear exists")
     return ear
 

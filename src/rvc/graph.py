@@ -332,11 +332,6 @@ def minimal_2connected_spanning(g: Graph) -> Graph:
     return current
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Single-source shortest-path lengths (-1 for unreachable)."""
-    return _bfs_dist(g, source)
-
-
 def all_pairs(n: int) -> Iterator[tuple[int, int]]:
     """Unordered vertex pairs in lexicographic order."""
     return combinations(range(n), 2)

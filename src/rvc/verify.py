@@ -3,15 +3,22 @@
 A rainbow path has pairwise-distinct colors on its internal vertices. A
 revised rainbow path has all vertices distinctly colored, or all but its
 end vertices distinctly colored; the end vertices are exempt, so in
-particular the two ends may share a color. Searches are exhaustive
-depth-first over simple paths, carrying the used color set as a bitmask;
-absence of a path is therefore a proof, while running out of node budget
-raises instead of claiming absence.
+particular the two ends may share a color.
+
+All-pairs verification and color-avoiding reachability search once per
+source, breadth-first over states (vertex, internal colors used so far):
+the colorful-path dynamic program of color-coding (Alon, Yuster, Zwick,
+J. ACM 1995), exponential only in the number of colors, as deciding
+rainbow vertex-connectivity is NP-complete (Chen, Li, Shi, TCS 2011).
+Single-pair witnesses come from exhaustive depth-first search over simple
+paths. Absence of a path is a proof; running out of node budget raises
+instead of claiming absence.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -139,10 +146,50 @@ def exists_rainbow_path(
     return None
 
 
-def _pair_job(args) -> tuple[tuple[int, int], tuple[int, ...] | None]:
-    g, colors, pair, mode, budget = args
-    u, v = pair
-    return pair, exists_rainbow_path(g, colors, u, v, mode, budget)
+def _unreached(
+    g: Graph, colors: Sequence[int], u: int, targets, block: int, budget: int
+) -> set[int]:
+    """Targets that no qualifying path from u reaches.
+
+    A state (x, mask) is a walk from u to internal vertex x whose internal
+    colors, the set mask, are distinct, so it repeats no internal vertex.
+    Walks never re-enter u, and a state is skipped when x already kept one
+    whose mask is a subset. `block` bans colors on internal vertices and on
+    both ends. Stops once every target is reached; the budget bounds the
+    kept states.
+    """
+    unreached = set(targets)
+    if block >> colors[u] & 1:
+        return unreached
+    pending = {t for t in unreached if not block >> colors[t] & 1}
+    unreached -= pending
+    kept: list[list[int]] = [[] for _ in range(g.n)]
+    states = 0
+    queue = deque([(u, 0)])
+    while queue and pending:
+        x, mask = queue.popleft()
+        for y in g.adj(x):
+            if y == u:
+                continue
+            if y in pending:
+                pending.discard(y)
+                if not pending:
+                    return unreached
+            bit = 1 << colors[y]
+            if bit & (mask | block):
+                continue
+            grown = mask | bit
+            masks = kept[y]
+            if any(k & grown == k for k in masks):
+                continue
+            states += 1
+            if states > budget:
+                raise SearchInconclusiveError(
+                    f"path search from vertex {u} exceeded node budget {budget}"
+                )
+            masks.append(grown)
+            queue.append((y, grown))
+    return unreached | pending
 
 
 def verify_rainbow_vc(
@@ -151,12 +198,11 @@ def verify_rainbow_vc(
     mode: RainbowMode = RAINBOW,
     store_witnesses: bool = False,
     node_budget: int | None = None,
-    jobs: int = 1,
 ) -> Certificate:
     """Check every unordered vertex pair for a qualifying path.
 
     The counterexample reported is the lexicographically first failing
-    pair regardless of worker scheduling.
+    pair. The node budget bounds the states kept by each source's search.
     """
     if not is_connected(g):
         raise PreconditionError("verify_rainbow_vc requires a connected graph")
@@ -165,25 +211,19 @@ def verify_rainbow_vc(
         raise PreconditionError(
             f"coloring covers {len(colors)} vertices but the graph has {g.n}"
         )
-    pairs = list(all_pairs(g.n))
-    results: dict[tuple[int, int], tuple[int, ...] | None] = {}
-    if jobs > 1 and len(pairs) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            tasks = [(g, colors, p, mode, node_budget) for p in pairs]
-            for pair, found in pool.imap(_pair_job, tasks, chunksize=8):
-                results[pair] = found
-        failing = min((p for p, f in results.items() if f is None), default=None)
-        if failing is not None:
-            return Certificate("counterexample", failing_pair=failing)
-    else:
-        for pair in pairs:
-            found = exists_rainbow_path(g, colors, pair[0], pair[1], mode, node_budget)
-            if found is None:
-                return Certificate("counterexample", failing_pair=pair)
-            results[pair] = found
-    witnesses = dict(sorted(results.items())) if store_witnesses else None
+    budget = node_budget if node_budget is not None else node_budget_default()
+    forb = mode.forbidden_color
+    block = 0 if forb is None else 1 << forb
+    for u in range(g.n - 1):
+        unreached = _unreached(g, colors, u, range(u + 1, g.n), block, budget)
+        if unreached:
+            return Certificate("counterexample", failing_pair=(u, min(unreached)))
+    witnesses = None
+    if store_witnesses:
+        witnesses = {
+            (u, v): exists_rainbow_path(g, colors, u, v, mode, budget)
+            for u, v in all_pairs(g.n)
+        }
     return Certificate("verified", witnesses=witnesses)
 
 
@@ -193,13 +233,8 @@ def has_color_avoiding_connectivity(g: Graph, c, v: int, x: int) -> bool:
     colors = _colors_of(c)
     if colors[v] == x:
         raise PreconditionError("the source vertex must not carry the avoided color")
-    mode = RainbowMode(revised=True, forbidden_color=x)
-    for u in range(g.n):
-        if u == v or colors[u] == x:
-            continue
-        if exists_rainbow_path(g, colors, v, u, mode) is None:
-            return False
-    return True
+    targets = [u for u in range(g.n) if u != v and colors[u] != x]
+    return not _unreached(g, colors, v, targets, 1 << x, node_budget_default())
 
 
 def color_stats(c) -> ColorStats:

@@ -135,6 +135,16 @@ class TestLongestEar:
         with pytest.raises(BudgetExceededError):
             longest_ear(g, h, budget=1)
 
+    def test_decomposition_budget_exhaustion_is_loud(self):
+        # three internally disjoint 3-edge paths between 0 and 3: the
+        # initial 6-cycle needs no ear search, and a budget of one path
+        # extension runs out before the remaining path closes into an ear
+        from rvc import BudgetExceededError
+
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 3), (0, 6), (6, 7), (7, 3)])
+        with pytest.raises(BudgetExceededError):
+            ear_decomposition(g, budget=1)
+
 
 class TestEarDecomposition:
     def test_plain_cycle_has_no_ears(self):

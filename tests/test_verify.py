@@ -123,16 +123,22 @@ class TestVerifyAllPairs:
         assert not cert.verified and cert.failing_pair is not None
 
     def test_failing_pair_is_lexicographic_minimum(self):
-        g = Graph.cycle(7)
-        colors = [0, 0, 1, 0, 1, 0, 1]
-        cert = verify_rainbow_vc(g, colors)
-        pairs = [
-            (u, v)
-            for u in range(7)
-            for v in range(u + 1, 7)
-            if exists_rainbow_path(g, colors, u, v) is None
-        ]
-        assert cert.failing_pair == min(pairs)
+        rng = random.Random(10)
+        modes = [RAINBOW, REVISED, RainbowMode(False, 0), RainbowMode(True, 1)]
+        for _ in range(150):
+            g = random_connected_graph(rng, rng.randint(3, 8))
+            k = rng.randint(1, g.n)
+            colors = [rng.randrange(k) for _ in range(g.n)]
+            for mode in modes:
+                cert = verify_rainbow_vc(g, colors, mode)
+                failing = [
+                    (u, v)
+                    for u in range(g.n)
+                    for v in range(u + 1, g.n)
+                    if exists_rainbow_path(g, colors, u, v, mode) is None
+                ]
+                assert cert.verified == (not failing)
+                assert cert.failing_pair == min(failing, default=None)
 
     def test_witness_storage(self):
         g = Graph.cycle(5)
@@ -141,19 +147,13 @@ class TestVerifyAllPairs:
         for (u, v), path in cert.witnesses.items():
             assert path[0] == u and path[-1] == v
 
-    def test_parallel_matches_sequential(self):
-        g = Graph.cycle(12)
-        good = [i % 6 for i in range(12)]
-        bad = [i % 5 for i in range(12)]
-        for colors in (good, bad):
-            seq = verify_rainbow_vc(g, colors)
-            par = verify_rainbow_vc(g, colors, jobs=2)
-            assert seq.status == par.status
-            assert seq.failing_pair == par.failing_pair
-
     def test_dimension_mismatch(self):
         with pytest.raises(PreconditionError):
             verify_rainbow_vc(Graph.cycle(5), [0, 1, 2, 3])
+
+    def test_budget_exhaustion_is_loud(self):
+        with pytest.raises(SearchInconclusiveError):
+            verify_rainbow_vc(Graph.path(8), list(range(8)), node_budget=1)
 
     def test_revised_pass_implies_rainbow_pass(self):
         rng = random.Random(7)
@@ -212,6 +212,24 @@ class TestAvoidingConnectivity:
     def test_rejects_source_carrying_the_color(self):
         with pytest.raises(PreconditionError):
             has_color_avoiding_connectivity(Graph.cycle(3), [0, 1, 2], 1, 1)
+
+    def test_matches_per_target_path_search(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            g = random_connected_graph(rng, rng.randint(3, 8))
+            k = rng.randint(2, g.n + 1)
+            colors = [rng.randrange(k) for _ in range(g.n)]
+            for x in set(colors):
+                mode = RainbowMode(revised=True, forbidden_color=x)
+                for v in range(g.n):
+                    if colors[v] == x:
+                        continue
+                    expected = all(
+                        exists_rainbow_path(g, colors, v, u, mode) is not None
+                        for u in range(g.n)
+                        if u != v and colors[u] != x
+                    )
+                    assert has_color_avoiding_connectivity(g, colors, v, x) == expected
 
 
 class TestColorStats:
