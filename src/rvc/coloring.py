@@ -7,10 +7,16 @@ Counts follow the complete-graph convention: a complete host graph reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 
-from .decompose import Ear, EarDecomposition, ear_decomposition
-from .errors import ConstructionError, GraphFormatError, PreconditionError
+from .decompose import Ear, EarDecomposition, _cycle_edges, _path_edges, ear_decomposition
+from .errors import (
+    ConstructionError,
+    GraphFormatError,
+    PreconditionError,
+    SearchInconclusiveError,
+)
 from .graph import Graph, block_decomposition, diameter, is_2_connected, is_connected
 from .verify import (
     RAINBOW,
@@ -34,26 +40,6 @@ class Coloring:
 
     def distinct(self) -> int:
         return len(set(self.colors))
-
-
-@dataclass
-class PaletteLedger:
-    """Monotone fresh-color allocator; palettes are never renumbered."""
-
-    old_colors: frozenset[int]
-    new_colors: list[int] = field(default_factory=list)
-
-    @classmethod
-    def start(cls, used) -> "PaletteLedger":
-        return cls(old_colors=frozenset(used))
-
-    def fresh(self) -> int:
-        nxt = max(
-            max(self.old_colors, default=-1),
-            max(self.new_colors, default=-1),
-        ) + 1
-        self.new_colors.append(nxt)
-        return nxt
 
 
 def serialize_coloring(c: Coloring) -> str:
@@ -157,23 +143,17 @@ def _once_used(colors: dict[int, int]) -> list[int]:
     return sorted(c for c, k in counts.items() if k == 1)
 
 
-def _check_balanced_precondition(
-    colors: dict[int, int], h_order: int, a: int, strict: bool = True
-) -> int | None:
+def _check_balanced_precondition(colors: list[int]) -> int | None:
     """Structural checks on the incoming coloring; returns the once-used
-    color when the host order is odd.
-
-    strict additionally enforces that the once-used color differs from the
-    first attachment's color; the chain relaxes this on fallback plans and
-    relies on the verification gate instead.
-    """
-    distinct = len(set(colors.values()))
+    color when the host order is odd."""
+    h_order = len(colors)
+    distinct = len(set(colors))
     if distinct != (h_order + 1) // 2:
         raise PreconditionError(
             f"host coloring uses {distinct} colors, expected {(h_order + 1) // 2}"
         )
     counts: dict[int, int] = {}
-    for col in colors.values():
+    for col in colors:
         counts[col] = counts.get(col, 0) + 1
     if max(counts.values()) > 2:
         raise PreconditionError("host coloring uses some color more than twice")
@@ -181,103 +161,46 @@ def _check_balanced_precondition(
         once = [c for c, k in counts.items() if k == 1]
         if len(once) != 1:
             raise PreconditionError("odd-order host coloring must have exactly one once-used color")
-        if strict and once[0] == colors[a]:
-            raise PreconditionError(
-                "the once-used color must differ from the first attachment's color"
-            )
         return once[0]
     return None
 
 
-def _balanced_sequences(
-    s: int,
-    case: tuple[int, int],
-    ca: int,
-    cb: int,
-    new: list[int],
-    x: int | None,
-) -> tuple[list[int], list[int]]:
-    """First-half and last-half color sequences for the four parity cases."""
-    h_odd, ell_odd = case
-    if (h_odd, ell_odd) == (0, 1):  # even host, odd ear length
-        last = [cb] + new
-        first = new + [ca] if ca != cb else [ca] + new
-    elif (h_odd, ell_odd) == (1, 0):  # odd host, even ear length
-        last = [cb] + new
-        first = (new + [ca, x]) if ca != cb else ([ca] + new + [x])
-    elif (h_odd, ell_odd) == (0, 0):  # both even: singleton pre-placed
-        last = [cb] + new
-        first = new + [ca] if ca != cb else [ca] + new
-    else:  # both odd: singleton pre-placed
-        last = [cb] + new
-        first = (new + [ca, x]) if ca != cb else ([ca] + new + [x])
-    return first, last
-
-
 def _apply_balanced(
-    colors: dict[int, int],
-    h_order: int,
+    colors: list[int],
     ear_path: tuple[int, ...],
-    palette: PaletteLedger,
-    placement_idx: int | None,
-    strict: bool = True,
-) -> tuple[dict[int, int], int | None]:
-    """One balanced extension step over arbitrary vertex ids.
+    x: int | None,
+    placement: int | None,
+) -> list[int]:
+    """One balanced extension step over prefix ids.
 
-    placement_idx is the 0-based ear position that receives the once-used
-    singleton (only for the odd-result cases). Returns the extended
-    coloring and the singleton color, if any.
+    The host is 0..h-1 and the ear's interior continues the numbering. x is
+    the host's once-used color (odd h only). When the extended order is odd,
+    placement is the 0-based ear position that receives the new once-used
+    color. Fresh colors start after the host's largest color: every color
+    allocated by earlier steps still sits on some vertex, so none is reused.
     """
+    h_odd = len(colors) % 2
     s = len(ear_path)
-    ell = s - 1
-    a, b = ear_path[0], ear_path[-1]
-    ca, cb = colors[a], colors[b]
-    h_odd, ell_odd = h_order % 2, ell % 2
-    x_prime = _check_balanced_precondition(colors, h_order, a, strict)
-    ceil_s2 = (s + 1) // 2
-
-    result_odd = (h_order + s - 2) % 2 == 1
-    out = dict(colors)
-    singleton: int | None = None
-
-    if (h_odd, ell_odd) == (0, 1):
-        new = [palette.fresh() for _ in range(s // 2 - 1)]
-        x = None
-    elif (h_odd, ell_odd) == (1, 0):
-        new = [palette.fresh() for _ in range(ceil_s2 - 2)]
-        x = x_prime
-    elif (h_odd, ell_odd) == (0, 0):
-        new = [palette.fresh() for _ in range(ceil_s2 - 2)]
-        x = None
-        singleton = palette.fresh()
-    else:
-        new = [palette.fresh() for _ in range(s // 2 - 2)]
-        x = x_prime
-        singleton = palette.fresh()
-
+    result_odd = (len(colors) + s) % 2
+    ca, cb = colors[ear_path[0]], colors[ear_path[-1]]
+    fresh = max(colors) + 1
+    new = list(range(fresh, fresh + (s - result_odd - 2 - h_odd) // 2))
+    first = (new + [ca] if ca != cb else [ca] + new) + ([x] if h_odd else [])
+    last = [cb] + new
+    out = colors + [0] * (s - 2)
     positions = list(range(s))
-    if singleton is not None:
-        if placement_idx is None:
-            placement_idx = ceil_s2 - 1  # middle vertex, 0-based
-        out[ear_path[placement_idx]] = singleton
-        positions.remove(placement_idx)
-    elif placement_idx is not None:
-        raise PreconditionError("singleton placement only applies when the result order is odd")
-
-    first_seq, last_seq = _balanced_sequences(s, (h_odd, ell_odd), ca, cb, new, x)
-    if len(first_seq) + len(last_seq) != len(positions):
+    if result_odd:
+        out[ear_path[placement]] = fresh + len(new)
+        del positions[placement]
+    if len(first) + len(last) != len(positions):
         raise AssertionError("balanced sequences do not cover the ear")
-    for idx, col in zip(positions[: len(first_seq)], first_seq):
+    for idx, col in zip(positions, first + last):
         out[ear_path[idx]] = col
-    for idx, col in zip(positions[len(first_seq):], last_seq):
-        out[ear_path[idx]] = col
-    assert result_odd == (singleton is not None)
-    return out, singleton
+    return out
 
 
 def _star_placement_candidates(
-    colors: dict[int, int],
-    h_order: int,
+    colors: list[int],
     ear_path: tuple[int, ...],
     star_target: int,
 ) -> list[int]:
@@ -290,7 +213,7 @@ def _star_placement_candidates(
     s = len(ear_path)
     ell = s - 1
     ceil_s2 = (s + 1) // 2
-    case4 = h_order % 2 == 1 and ell % 2 == 1
+    case4 = len(colors) % 2 == 1 and ell % 2 == 1
     prescribed: int | None = None
     if star_target in ear_path:
         j = ear_path.index(star_target) + 1  # 1-based position
@@ -318,95 +241,44 @@ def _star_placement_candidates(
 
 
 def _extension_options(
-    colors: dict[int, int],
-    h_order: int,
+    colors: list[int],
     ear_path: tuple[int, ...],
-    palette: PaletteLedger,
-    star_target: int | None,
-    host_edges,
+    g: Graph,
+    star_target: int | None = None,
     avoid_vertices: frozenset[int] = frozenset(),
-    strict: bool = True,
 ):
     """Yield verified balanced extensions of the host coloring across one ear.
 
-    Each yielded item is (out_colors, singleton_color, palette_new_colors).
-    An extension qualifies when it verifies revised-rainbow and, if
-    star_target is given, the color-avoiding property holds there. For odd
-    extended order the singleton placement ranges over the ear (prescribed
-    position first); vertices in avoid_vertices never receive the singleton
-    (a chain uses this to keep the once-used color off the next ear's
-    attachment points). The even cases have no free choice, so at most one
-    extension is yielded.
+    Vertices carry prefix ids: the host is 0..len(colors)-1, the ear's
+    interior continues the numbering, and g is the host plus the ear. Each
+    yielded item is the extended color list. An extension qualifies when it
+    verifies revised-rainbow and, if star_target is given, the
+    color-avoiding property holds there. For odd extended order the
+    singleton placement ranges over the ear (prescribed position first);
+    vertices in avoid_vertices never receive the singleton (a chain uses
+    this to keep the once-used color off the next ear's attachment points).
+    The even case has no free choice, so at most one extension is yielded.
     """
-    if len(ear_path) < 6:
-        raise PreconditionError("balanced coloring needs an ear on at least 6 vertices")
-    result_odd = (h_order + len(ear_path) - 2) % 2 == 1
-    if star_target is not None and not result_odd:
-        raise PreconditionError(
-            "a star target is only meaningful when the extended order is odd"
-        )
-
-    vertex_ids = sorted(set(colors) | set(ear_path))
-    dense = {v: i for i, v in enumerate(vertex_ids)}
-    g2 = Graph(len(vertex_ids), [(dense[u], dense[v]) for u, v in host_edges])
-
-    def flatten(out: dict[int, int]) -> list[int]:
-        flat = [0] * len(vertex_ids)
-        for v, col in out.items():
-            flat[dense[v]] = col
-        return flat
-
-    base_new = list(palette.new_colors)
-    if not result_odd:
-        out, singleton = _apply_balanced(colors, h_order, ear_path, palette, None, strict)
-        if verify_rainbow_vc(g2, flatten(out), REVISED).verified:
-            yield out, singleton, list(palette.new_colors)
-        palette.new_colors[:] = base_new
-        return
-
-    if star_target is not None:
-        placements = _star_placement_candidates(colors, h_order, ear_path, star_target)
+    x = _check_balanced_precondition(colors)
+    s = len(ear_path)
+    if (len(colors) + s) % 2 == 0:
+        placements: list[int | None] = [None]
+    elif star_target is not None:
+        placements = _star_placement_candidates(colors, ear_path, star_target)
     else:
-        mid = (len(ear_path) + 1) // 2 - 1
-        placements = [mid] + [i for i in range(len(ear_path)) if i != mid]
-    placements = [i for i in placements if ear_path[i] not in avoid_vertices]
+        mid = (s + 1) // 2 - 1
+        placements = [mid] + [i for i in range(s) if i != mid]
     for placement in placements:
-        palette.new_colors[:] = base_new
-        out, singleton = _apply_balanced(colors, h_order, ear_path, palette, placement, strict)
-        assert singleton is not None
-        flat = flatten(out)
-        if not verify_rainbow_vc(g2, flat, REVISED).verified:
+        if placement is not None and ear_path[placement] in avoid_vertices:
+            continue
+        out = _apply_balanced(colors, ear_path, x, placement)
+        if not verify_rainbow_vc(g, out, REVISED).verified:
             continue
         if star_target is not None and not has_color_avoiding_connectivity(
-            g2, flat, dense[star_target], singleton
+            g, out, star_target, out[ear_path[placement]]
         ):
             continue
-        allocated = list(palette.new_colors)
-        palette.new_colors[:] = base_new
-        yield out, singleton, allocated
-        palette.new_colors[:] = base_new
-    palette.new_colors[:] = base_new
-
-
-def _extend_balanced(
-    colors: dict[int, int],
-    h_order: int,
-    ear_path: tuple[int, ...],
-    palette: PaletteLedger,
-    star_target: int | None,
-    host_edges,
-    avoid_vertices: frozenset[int] = frozenset(),
-) -> tuple[dict[int, int], int | None]:
-    """First verified balanced extension; raises when none exists."""
-    for out, singleton, allocated in _extension_options(
-        colors, h_order, ear_path, palette, star_target, host_edges, avoid_vertices
-    ):
-        palette.new_colors[:] = allocated
-        return out, singleton
-    raise ConstructionError(
-        "no balanced extension verifies"
-        + (f" with the avoiding property at vertex {star_target}" if star_target is not None else "")
-    )
+        yield out
 
 
 def attach_ear(h: Graph, a: int, b: int, interior_count: int) -> tuple[Graph, Ear]:
@@ -418,9 +290,7 @@ def attach_ear(h: Graph, a: int, b: int, interior_count: int) -> tuple[Graph, Ea
     if interior_count < 1:
         raise PreconditionError("an attached ear needs at least one interior vertex")
     path = (a,) + tuple(range(h.n, h.n + interior_count)) + (b,)
-    edges = set(h.edges)
-    edges.update((min(x, y), max(x, y)) for x, y in zip(path, path[1:]))
-    return Graph(h.n + interior_count, edges), Ear(path)
+    return Graph(h.n + interior_count, [*h.edges, *_path_edges(path)]), Ear(path)
 
 
 def balanced_coloring(
@@ -435,7 +305,8 @@ def balanced_coloring(
     attach_ear to build such instances). When the extended order is odd and
     star_target is given, the once-used color is placed so every vertex not
     carrying it stays reachable from star_target by a revised rainbow path
-    avoiding it.
+    avoiding it. For an odd-order host, the once-used color must not sit on
+    the ear's first attachment p.a.
     """
     s = len(p.path)
     if s < 6:
@@ -448,20 +319,27 @@ def balanced_coloring(
         )
     if len(c_prime.colors) != h.n:
         raise PreconditionError("host coloring does not cover the host graph")
-    colors = dict(enumerate(c_prime.colors))
-    palette = PaletteLedger.start(set(c_prime.colors))
-    edges = set(h.edges)
-    edges.update((min(x, y), max(x, y)) for x, y in zip(p.path, p.path[1:]))
-    out, _ = _extend_balanced(colors, h.n, p.path, palette, star_target, edges)
     n2 = h.n + s - 2
-    flat = tuple(out[v] for v in range(n2))
-    return Coloring(flat, reported_count=len(set(flat)), method="balanced")
-
-
-def _wraparound(seq: tuple[int, ...]) -> dict[int, int]:
-    """Half-count wraparound coloring along a cycle sequence."""
-    half = (len(seq) + 1) // 2
-    return {v: i % half for i, v in enumerate(seq)}
+    if star_target is not None:
+        if n2 % 2 == 0:
+            raise PreconditionError(
+                "a star target is only meaningful when the extended order is odd"
+            )
+        if not 0 <= star_target < n2:
+            raise PreconditionError("star target is not a vertex of the extended graph")
+    colors = list(c_prime.colors)
+    if _check_balanced_precondition(colors) == colors[p.a]:
+        raise PreconditionError(
+            "the once-used color must differ from the first attachment's color"
+        )
+    g2 = Graph(n2, [*h.edges, *_path_edges(p.path)])
+    out = next(_extension_options(colors, p.path, g2, star_target), None)
+    if out is None:
+        raise ConstructionError(
+            "no balanced extension verifies"
+            + (f" with the avoiding property at vertex {star_target}" if star_target is not None else "")
+        )
+    return Coloring(tuple(out), reported_count=len(set(out)), method="balanced")
 
 
 _CHAIN_STEP_BUDGET = 600
@@ -471,19 +349,24 @@ def _balanced_chain(
     initial_cycle: tuple[int, ...],
     ears: list[Ear],
     final_target: int | None = None,
-) -> tuple[dict[int, int], PaletteLedger]:
+) -> dict[int, int]:
     """Base cycle coloring followed by one balanced extension per ear.
 
-    The construction's free choices (singleton placements, the orientation
-    of each ear where it is not pinned) are searched depth-first with every
+    Vertices are renumbered once, in insertion order (the cycle, then each
+    ear's interior), so every intermediate host is the prefix 0..k-1 and
+    the graph after each ear is built once, before the search. The
+    construction's free choices (singleton placements, the orientation of
+    each ear where it is not pinned) are searched depth-first with every
     extension verify-gated, so a dead end at a later ear backtracks to an
     earlier choice. When an intermediate order is odd, the chain prepares
     the color-avoiding property at one endpoint of the next ear (pinning
     that ear's orientation) and keeps the singleton off the other endpoint,
     so the next step never sees an attachment carrying the once-used color.
     final_target asks for the avoiding property at that vertex in the last
-    (odd-order) extension. Intermediate checks run on the accumulated graph
-    (initial cycle plus the ears added so far).
+    (odd-order) extension. Returns the coloring keyed by the original
+    vertex ids. Raises ConstructionError when the search finishes without
+    a verified chain and SearchInconclusiveError when it runs out of steps
+    first.
     """
     n0 = len(initial_cycle)
     if n0 % 2 == 1:
@@ -493,65 +376,65 @@ def _balanced_chain(
             )
         if final_target is not None:
             raise PreconditionError("an odd cycle alone admits no placement choice")
-        return _wraparound(initial_cycle), PaletteLedger.start(range((n0 + 1) // 2))
     for ear in ears:
         if len(ear.path) < 6:
             raise PreconditionError("balanced chain requires ears of length at least 5")
-    base_colors = _wraparound(initial_cycle)
-    palette = PaletteLedger.start(range(n0 // 2))
-    steps_left = [_CHAIN_STEP_BUDGET]
-    cycle_edges = _cycle_edge_set(initial_cycle)
+    order = list(initial_cycle) + [v for ear in ears for v in ear.interior]
+    dense = {v: i for i, v in enumerate(order)}
+    if len(dense) != len(order):
+        raise PreconditionError("ear interiors must be vertices not yet in the chain")
+    paths = tuple(tuple(dense[v] for v in ear.path) for ear in ears)
+    edges = _cycle_edges(tuple(range(n0)))
+    graphs = []
+    n = n0
+    for path in paths:
+        edges = edges + _path_edges(path)
+        n += len(path) - 2
+        graphs.append(Graph(n, edges))
+    target = None if final_target is None else dense[final_target]
+    steps_left = _CHAIN_STEP_BUDGET
 
-    def dfs(colors: dict[int, int], h_order: int, idx: int,
-            paths: tuple[tuple[int, ...], ...],
-            edges: set[tuple[int, int]]) -> dict[int, int] | None:
+    def dfs(colors: list[int], idx: int,
+            paths: tuple[tuple[int, ...], ...]) -> list[int] | None:
+        nonlocal steps_left
         if idx == len(paths):
             return colors
         path = paths[idx]
-        s = len(path)
-        new_order = h_order + s - 2
-        edges2 = edges | {(min(x, y), max(x, y)) for x, y in zip(path, path[1:])}
+        odd = (len(colors) + len(path)) % 2 == 1
+        if odd and idx + 1 < len(paths):
+            nxt = paths[idx + 1]
+            # preferred: prepare the avoiding property at one endpoint of
+            # the next ear and keep the singleton off the other; fallbacks
+            # drop the preparation and trust the verify gates
+            plans = [(nxt[0], frozenset({nxt[-1]}), False),
+                     (nxt[-1], frozenset({nxt[0]}), True),
+                     (None, frozenset({nxt[0], nxt[-1]}), False),
+                     (None, frozenset(), False)]
+        elif odd and target is not None:
+            plans = [(target, frozenset(), False)]
+        else:
+            plans = [(None, frozenset(), False)]
         # when a previous step prepared the avoiding property at path[0],
         # that orientation goes first; the flipped one stays as a gated
         # fallback since every extension is verified anyway
-        orientations = (path, tuple(reversed(path)))
-        for oriented in orientations:
-            if new_order % 2 == 1 and idx + 1 < len(paths):
-                nxt = paths[idx + 1]
-                # preferred: prepare the avoiding property at one endpoint
-                # of the next ear and keep the singleton off the other;
-                # fallbacks drop the preparation and trust the verify gates
-                plans = [(nxt[0], frozenset({nxt[-1]}), False),
-                         (nxt[-1], frozenset({nxt[0]}), True),
-                         (None, frozenset({nxt[0], nxt[-1]}), False),
-                         (None, frozenset(), False)]
-            elif new_order % 2 == 1 and idx + 1 == len(paths) and final_target is not None:
-                plans = [(final_target, frozenset(), False)]
-            else:
-                plans = [(None, frozenset(), False)]
-            for target, avoid, flip_next in plans:
-                for out, _, allocated in _extension_options(
-                    colors, h_order, oriented, palette, target, edges2, avoid,
-                    strict=False,
-                ):
-                    steps_left[0] -= 1
-                    if steps_left[0] < 0:
-                        raise ConstructionError("balanced chain search budget exhausted")
+        for oriented in (path, path[::-1]):
+            for star, avoid, flip_next in plans:
+                for out in _extension_options(colors, oriented, graphs[idx], star, avoid):
+                    steps_left -= 1
+                    if steps_left < 0:
+                        raise SearchInconclusiveError("balanced chain search budget exhausted")
                     nxt_paths = paths
                     if flip_next:
-                        lst = list(paths)
-                        lst[idx + 1] = tuple(reversed(lst[idx + 1]))
-                        nxt_paths = tuple(lst)
-                    palette.new_colors[:] = allocated
-                    result = dfs(out, new_order, idx + 1, nxt_paths, edges2)
+                        nxt_paths = paths[:idx + 1] + (paths[idx + 1][::-1],) + paths[idx + 2:]
+                    result = dfs(out, idx + 1, nxt_paths)
                     if result is not None:
                         return result
         return None
 
-    result = dfs(base_colors, n0, 0, tuple(e.path for e in ears), set(cycle_edges))
+    result = dfs([i % ((n0 + 1) // 2) for i in range(n0)], 0, paths)
     if result is None:
         raise ConstructionError("no verified balanced chain exists for this decomposition")
-    return result, palette
+    return dict(zip(order, result))
 
 
 def balanced_chain_coloring(
@@ -564,12 +447,14 @@ def balanced_chain_coloring(
     Each ear must attach to two distinct existing vertices and bring fresh
     dense interior ids (attach_ear produces this shape). final_target asks
     for the color-avoiding property at that vertex when the final order is
-    odd. Returns the grown graph and its coloring.
+    odd. Returns the grown graph and its coloring. Raises ConstructionError
+    when the search proves that no verified chain exists, and
+    SearchInconclusiveError when it runs out of steps before deciding.
     """
     if n0 < 4 or n0 % 2 == 1:
         raise PreconditionError("the base cycle must be even, on at least 4 vertices")
     cyc = tuple(range(n0))
-    edges = set(_cycle_edge_set(cyc))
+    edges = _cycle_edges(cyc)
     n = n0
     for ear in ears:
         s = len(ear.path)
@@ -577,14 +462,14 @@ def balanced_chain_coloring(
             raise PreconditionError("ear attachments must be existing vertices")
         if sorted(ear.interior) != list(range(n, n + s - 2)):
             raise PreconditionError("ear interior must be the next dense vertex ids")
-        edges.update((min(x, y), max(x, y)) for x, y in zip(ear.path, ear.path[1:]))
+        edges += _path_edges(ear.path)
         n += s - 2
     if final_target is not None and not (0 <= final_target < n):
         raise PreconditionError("final target is not a vertex of the grown graph")
     if final_target is not None and n % 2 == 0:
         raise PreconditionError("a final target is only meaningful for odd final order")
     g = Graph(n, edges)
-    colors, _ = _balanced_chain(cyc, list(ears), final_target)
+    colors = _balanced_chain(cyc, list(ears), final_target)
     flat = tuple(colors[v] for v in range(n))
     return g, Coloring(flat, reported_count=len(set(flat)), method="balanced")
 
@@ -604,14 +489,9 @@ def long_ear_coloring(g: Graph, d: EarDecomposition) -> Coloring:
         raise PreconditionError("long_ear_coloring requires every ear length >= 5")
     if d.replay_edges() != set(g.edges):
         raise PreconditionError("decomposition does not reconstruct the graph")
-    colors, _ = _balanced_chain(d.initial_cycle, list(d.ears))
+    colors = _balanced_chain(d.initial_cycle, list(d.ears))
     flat = tuple(colors[v] for v in range(g.n))
     return Coloring(flat, reported_count=len(set(flat)), method="long-ear")
-
-
-def _cycle_edge_set(cycle: tuple[int, ...]) -> set[tuple[int, int]]:
-    pairs = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
-    return {(min(u, v), max(u, v)) for u, v in pairs}
 
 
 def _cycle_order(g: Graph) -> tuple[int, ...]:
@@ -627,7 +507,6 @@ def _short_ear_colors(
     c_t: dict[int, int],
     short_ears: list[Ear],
     x: int,
-    palette: PaletteLedger,
 ) -> dict[int, int]:
     """Color short ears (length 2..4) on top of the long-prefix coloring.
 
@@ -635,11 +514,13 @@ def _short_ear_colors(
     vertex and push a_j's old color inward; centers share one fresh color
     when there are several length-4 ears, otherwise reuse x. Length-3 ears
     do the same without a center; length-2 interiors reuse x. Later ears
-    win recoloring conflicts at shared attachment vertices.
+    win recoloring conflicts at shared attachment vertices. Fresh colors
+    start after c_t's largest color, which is the chain's last allocation.
     """
     out = dict(c_t)
+    fresh = count(max(c_t.values()) + 1)
     four_count = sum(1 for e in short_ears if e.length == 4)
-    x0 = palette.fresh() if four_count >= 2 else None
+    x0 = next(fresh) if four_count >= 2 else None
     queue = sorted(short_ears, key=lambda e: (-e.length, e.path))
     ordered: list[Ear] = []
     colored = set(c_t)
@@ -657,14 +538,14 @@ def _short_ear_colors(
         old_a = c_t[a] if a in c_t else out[a]
         if ear.length == 4:
             v1, v2, v3 = ear.interior
-            xj = palette.fresh()
+            xj = next(fresh)
             out[a] = xj
             out[v3] = xj
             out[v1] = old_a
             out[v2] = x0 if x0 is not None else x
         elif ear.length == 3:
             v1, v2 = ear.interior
-            xj = palette.fresh()
+            xj = next(fresh)
             out[a] = xj
             out[v2] = xj
             out[v1] = old_a
@@ -745,14 +626,12 @@ def _two_connected_pipeline(g: Graph) -> Coloring | None:
             "ear lengths are not nonincreasing; rerun with a larger ear budget"
         )
     short_ears = [e for e in rest if 2 <= e.length <= 4]
-    c_t, palette = _balanced_chain(d.initial_cycle, long_ears)
+    c_t = _balanced_chain(d.initial_cycle, long_ears)
 
     stats_once = _once_used(c_t)
     candidates = stats_once + sorted(set(c_t.values()) - set(stats_once))
-    base_new = list(palette.new_colors)
     for x in candidates:
-        palette.new_colors[:] = base_new
-        colors = _short_ear_colors(c_t, short_ears, x, palette)
+        colors = _short_ear_colors(c_t, short_ears, x)
         if len(colors) != g.n:
             raise AssertionError("pipeline did not color every vertex")
         flat = tuple(colors[v] for v in range(g.n))

@@ -14,7 +14,8 @@ class BudgetExceededError(RuntimeError):
 
 
 class SearchInconclusiveError(RuntimeError):
-    """Raised when a path search runs out of node budget.
+    """Raised when a search runs out of budget: path-search nodes, or the
+    steps of a balanced-chain search.
 
     Distinct from 'no path exists': absence claims must come from an
     exhausted search, never from a truncated one.

@@ -12,6 +12,7 @@ from rvc import (
     ConstructionError,
     Graph,
     SearchBudget,
+    SearchInconclusiveError,
     balanced_chain_coloring,
     block_bound,
     block_coloring,
@@ -119,7 +120,9 @@ def test_criterion_4_balanced_property_suite():
     property there (all orientations and singleton placements enumerated),
     although non-balanced colorings in the same count/multiplicity envelope
     do satisfy it. Instances whose designated target cannot be served are
-    reported here as honest failures rather than being regenerated away.
+    reported here as honest failures rather than being regenerated away;
+    instances whose chain search runs out of steps are reported as
+    inconclusive, which is a failure too but not a refutation.
     """
     failures = []
     cases_seen = set()
@@ -130,6 +133,9 @@ def test_criterion_4_balanced_property_suite():
             g, c = balanced_chain_coloring(n0, ears, final_target=target)
         except ConstructionError as err:
             failures.append((seed, f"unservable designated target {target}: {err}"))
+            continue
+        except SearchInconclusiveError as err:
+            failures.append((seed, f"inconclusive: {err}"))
             continue
         st = color_stats(c)
         if st.distinct != (g.n + 1) // 2:
@@ -152,11 +158,12 @@ def test_criterion_4_balanced_property_suite():
     )
     assert cases_seen == all_cases
     assert not failures, (
-        f"{len(failures)} of 220 instances failed: {failures}. The designated-"
-        "target failures reproduce a refutable universal placement claim: no "
-        "balanced coloring of those instances has the avoiding property at "
-        "the designated vertex (the search exhausts every orientation and "
-        "singleton placement before giving up)."
+        f"{len(failures)} of 220 instances failed: {failures}. The "
+        "'unservable designated target' failures reproduce a refutable "
+        "universal placement claim: the search exhausted every orientation "
+        "and singleton placement without finding a balanced coloring with "
+        "the avoiding property at the designated vertex. The 'inconclusive' "
+        "failures ran out of chain search steps first and refute nothing."
     )
 
 

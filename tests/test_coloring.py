@@ -5,9 +5,11 @@ import pytest
 from rvc import (
     REVISED,
     Coloring,
+    ConstructionError,
     EarDecomposition,
     Graph,
     PreconditionError,
+    SearchInconclusiveError,
     attach_ear,
     balanced_chain_coloring,
     balanced_coloring,
@@ -29,6 +31,7 @@ from rvc import (
     verify_rainbow_vc,
 )
 from rvc.coloring import SMALL_CYCLE_COLORINGS
+from rvc.decompose import Ear
 
 
 def closed_form(n: int) -> int:
@@ -121,14 +124,14 @@ class TestBalancedColoring:
         carrier = [v for v in range(g2.n) if c.colors[v] == st.once_used[0]]
         assert len(carrier) == 1 and carrier[0] in ear.path
 
-    def test_palette_ledger_allocates_fresh_disjoint_ids(self):
-        from rvc import PaletteLedger
-
-        ledger = PaletteLedger.start({0, 3, 5})
-        first, second = ledger.fresh(), ledger.fresh()
-        assert first == 6 and second == 7
-        assert not set(ledger.new_colors) & ledger.old_colors
-        assert ledger.new_colors == [6, 7]
+    def test_fresh_colors_skip_host_palette_gaps(self):
+        # the host palette {0, 3, 5} has gaps; new colors must still avoid it
+        h = Graph.cycle(6)
+        cp = Coloring((0, 3, 5, 0, 3, 5), reported_count=3)
+        g2, ear = attach_ear(h, 0, 3, 4)
+        c = balanced_coloring(h, cp, ear)
+        assert sorted(set(c.colors) - {0, 3, 5}) == [6, 7]
+        assert verify_rainbow_vc(g2, c, REVISED).verified
 
     def test_multiset_shape_on_seeded_inputs(self):
         rng = random.Random(10)
@@ -174,6 +177,32 @@ class TestBalancedColoring:
         with pytest.raises(PreconditionError):
             balanced_coloring(h, cp, ear, star_target=1)
 
+    def test_once_used_color_on_first_attachment_rejected(self):
+        h = Graph.cycle(7)
+        cp = Coloring((0, 1, 2, 3, 0, 1, 2), reported_count=4)  # 3 is once-used
+        _, ear = attach_ear(h, 3, 0, 4)
+        with pytest.raises(PreconditionError, match="first attachment"):
+            balanced_coloring(h, cp, ear)
+        # breaking the star-target parity rule as well reports that first
+        _, ear = attach_ear(h, 3, 0, 5)  # result order 12, even
+        with pytest.raises(PreconditionError, match="star target is only meaningful"):
+            balanced_coloring(h, cp, ear, star_target=1)
+
+
+class TestBalancedChain:
+    def test_unservable_target_is_a_refutation(self):
+        # minimal counterexample: no balanced coloring of this chain has the
+        # avoiding property at the middle ear vertex, and the search proves it
+        with pytest.raises(ConstructionError, match="no verified balanced chain exists"):
+            balanced_chain_coloring(8, [Ear((0, 8, 9, 10, 11, 12, 1))], final_target=10)
+
+    def test_step_budget_exhaustion_is_inconclusive(self, monkeypatch):
+        _, ear = attach_ear(Graph.cycle(10), 0, 4, 5)
+        balanced_chain_coloring(10, [ear])  # solvable within the default budget
+        monkeypatch.setattr("rvc.coloring._CHAIN_STEP_BUDGET", 0)
+        with pytest.raises(SearchInconclusiveError, match="budget exhausted"):
+            balanced_chain_coloring(10, [ear])
+
 
 class TestLongEarColoring:
     def test_odd_cycle_wraparound(self):
@@ -217,6 +246,12 @@ class TestLongEarColoring:
         with pytest.raises(PreconditionError):
             long_ear_coloring(g, ear_decomposition(g))
 
+    def test_rejects_ear_through_host_vertices(self):
+        # the "ear" runs along the cycle, so its interior is not new
+        d = EarDecomposition(tuple(range(16)), (Ear((0, 1, 2, 3, 4, 5)),))
+        with pytest.raises(PreconditionError, match="not yet in the chain"):
+            long_ear_coloring(Graph.cycle(16), d)
+
 
 class TestTwoConnected:
     def test_defers_to_cycle_values(self):
@@ -254,6 +289,40 @@ class TestTwoConnected:
             c = two_connected_coloring(g)
             assert c.reported_count <= (n + 1) // 2
             assert verify_rainbow_vc(g, c).verified
+
+    def test_golden_colorings_on_seeded_graphs(self):
+        # exact outputs of the construction, frozen so that refactors of the
+        # ear, chain and short-ear layers keep every choice they make
+        golden = [
+            ((37, 1, 21, "ears"), (
+                3, 1, 2, 0, 1, 12, 15, 14, 11, 13, 5, 17, 4, 14, 17, 16, 12, 0,
+                2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 10, 9, 8, 15, 7, 6, 16, 15, 13,
+            )),
+            ((31, 4, 63, "ears"), (
+                9, 0, 13, 2, 3, 4, 5, 6, 7, 10, 11, 8, 12, 7, 10, 11, 8, 9, 0,
+                1, 2, 13, 4, 5, 14, 3, 12, 14, 1, 6, 14,
+            )),
+            ((27, 6, 4, "ears"), (
+                0, 13, 11, 3, 11, 0, 9, 2, 3, 4, 1, 13, 8, 9, 10, 1, 5, 6, 7, 8,
+                4, 10, 12, 2, 7, 6, 5,
+            )),
+            ((29, 2, 70, "ears"), (
+                0, 1, 2, 3, 10, 12, 2, 11, 12, 7, 8, 9, 10, 6, 5, 4, 9, 8, 7, 6,
+                5, 4, 3, 11, 11, 1, 11, 11, 0,
+            )),
+            ((28, 2, 4, "hamilton"), (
+                7, 6, 5, 4, 3, 2, 1, 0, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2,
+                1, 0, 13, 12, 11, 10, 9, 8,
+            )),
+            ((40, 6, 6, "hamilton"), (
+                2, 0, 1, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5,
+                4, 3, 2, 1, 0, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7,
+                6, 5, 4, 3,
+            )),
+        ]
+        for (n, extra, seed, kind), colors in golden:
+            c = two_connected_coloring(random_2connected(n, extra, seed=seed, kind=kind))
+            assert c.colors == colors, (n, extra, seed, kind)
 
     def test_small_orders_meet_cycle_bound(self):
         rng = random.Random(12)
