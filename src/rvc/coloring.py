@@ -21,6 +21,7 @@ from .graph import Graph, block_decomposition, diameter, is_2_connected, is_conn
 from .verify import (
     RAINBOW,
     REVISED,
+    Certificate,
     has_color_avoiding_connectivity,
     verify_rainbow_vc,
 )
@@ -580,38 +581,48 @@ def two_connected_coloring(g: Graph) -> Coloring:
     returned, retrying each available reuse color if needed, and small
     orders fall back to a capped exhaustive search.
     """
+    return _two_connected_certified(g)[0]
+
+
+def _two_connected_certified(g: Graph) -> tuple[Coloring, Certificate | None]:
+    """`two_connected_coloring` plus the certificate of its final check on g;
+    None for cycles, complete graphs and the capped search, which are not
+    verified here."""
     if not is_2_connected(g):
         raise PreconditionError("two_connected_coloring requires a 2-connected graph")
     n = g.n
     if g.is_complete():
-        return Coloring((0,) * n, reported_count=0, method="complete")
+        return Coloring((0,) * n, reported_count=0, method="complete"), None
     if g.m == n:  # a cycle
         pattern = cycle_coloring(n)
         order = _cycle_order(g)
         flat = [0] * n
         for pos, v in enumerate(order):
             flat[v] = pattern.colors[pos]
-        return Coloring(tuple(flat), pattern.reported_count, method="cycle")
+        return Coloring(tuple(flat), pattern.reported_count, method="cycle"), None
     cap = cycle_rvc_value(n)
     if diameter(g) == 2:
         flat = (0,) * n
-        if verify_rainbow_vc(g, flat).verified:
-            return Coloring(flat, reported_count=1, method="two-connected")
+        cert = verify_rainbow_vc(g, flat)
+        if cert.verified:
+            return Coloring(flat, reported_count=1, method="two-connected"), cert
 
     attempt = _two_connected_pipeline(g)
-    if attempt is not None and attempt.reported_count <= cap:
+    if attempt is not None:
         return attempt
     if n <= 15:
         found = _search_capped(g, cap)
         if found is not None:
-            return Coloring(found.colors, found.reported_count, method="two-connected")
+            return Coloring(found.colors, found.reported_count, method="two-connected"), None
     raise ConstructionError(
         f"no verified coloring within {cap} colors was constructed for n={n}"
     )
 
 
-def _two_connected_pipeline(g: Graph) -> Coloring | None:
-    """Decomposition-driven construction; None when no reuse color verifies."""
+def _two_connected_pipeline(g: Graph) -> tuple[Coloring, Certificate] | None:
+    """Decomposition-driven construction and the certificate that accepted
+    it; None when it needs more colors than the cycle or no reuse color
+    verifies."""
     d = ear_decomposition(g)
     long_ears: list[Ear] = []
     rest: list[Ear] = []
@@ -637,8 +648,9 @@ def _two_connected_pipeline(g: Graph) -> Coloring | None:
         flat = tuple(colors[v] for v in range(g.n))
         if len(set(flat)) > cycle_rvc_value(g.n):
             return None  # count is independent of the reuse color; retrying cannot help
-        if verify_rainbow_vc(g, flat).verified:
-            return Coloring(flat, reported_count=len(set(flat)), method="two-connected")
+        cert = verify_rainbow_vc(g, flat)
+        if cert.verified:
+            return Coloring(flat, reported_count=len(set(flat)), method="two-connected"), cert
     return None
 
 
@@ -650,12 +662,18 @@ def block_coloring(g: Graph) -> Coloring:
     palette; when every block is complete the cut vertices' colors and one
     shared color suffice.
     """
+    return _block_certified(g)[0]
+
+
+def _block_certified(g: Graph) -> tuple[Coloring, Certificate | None]:
+    """`block_coloring` plus the certificate of its whole-graph check; None
+    for a complete graph, which is not verified here."""
     if g.n < 2:
         raise PreconditionError("block_coloring requires at least 2 vertices")
     if not is_connected(g):
         raise PreconditionError("block_coloring requires a connected graph")
     if g.is_complete():
-        return Coloring((0,) * g.n, reported_count=0, method="complete")
+        return Coloring((0,) * g.n, reported_count=0, method="complete"), None
     bd = block_decomposition(g)
     cuts = sorted(bd.cut_vertices)
     flat = [0] * g.n
@@ -672,36 +690,31 @@ def block_coloring(g: Graph) -> Coloring:
         # cut vertices distinct, everything else shares the first cut color
         for i, v in enumerate(cuts):
             flat[v] = i
-        coloring = Coloring(tuple(flat), reported_count=len(set(flat)), method="blocks")
-        cert = verify_rainbow_vc(g, coloring.colors)
-        if not cert.verified:
-            raise ConstructionError(f"block coloring failed verification at {cert.failing_pair}")
-        return coloring
-
-    offset = 0
-    reuse_color: int | None = None
-    for sub, back, complete in block_graphs:
-        if complete:
-            continue
-        sub_coloring = two_connected_coloring(sub)
-        if reuse_color is None:
-            reuse_color = offset  # a color that appears in the first palette
-        for new_id, col in enumerate(sub_coloring.colors):
-            flat[back[new_id]] = col + offset
-        offset += max(sub_coloring.colors) + 1
-    for sub, back, complete in block_graphs:
-        if not complete:
-            continue
-        for new_id in range(sub.n):
-            flat[back[new_id]] = reuse_color
-    for i, v in enumerate(cuts):
-        flat[v] = offset + i
+    else:
+        offset = 0
+        reuse_color: int | None = None
+        for sub, back, complete in block_graphs:
+            if complete:
+                continue
+            sub_coloring = two_connected_coloring(sub)
+            if reuse_color is None:
+                reuse_color = offset  # a color that appears in the first palette
+            for new_id, col in enumerate(sub_coloring.colors):
+                flat[back[new_id]] = col + offset
+            offset += max(sub_coloring.colors) + 1
+        for sub, back, complete in block_graphs:
+            if not complete:
+                continue
+            for new_id in range(sub.n):
+                flat[back[new_id]] = reuse_color
+        for i, v in enumerate(cuts):
+            flat[v] = offset + i
 
     coloring = Coloring(tuple(flat), reported_count=len(set(flat)), method="blocks")
     cert = verify_rainbow_vc(g, coloring.colors)
     if not cert.verified:
         raise ConstructionError(f"block coloring failed verification at {cert.failing_pair}")
-    return coloring
+    return coloring, cert
 
 
 def block_bound(g: Graph) -> int:

@@ -69,7 +69,7 @@ def _enumerate_paths(g: Graph, u: int, v: int, max_internal: int) -> list[tuple[
 class _FixedKSearch:
     """Backtracking search for one coloring with exactly k colors."""
 
-    def __init__(self, g: Graph, k: int, mode: RainbowMode, node_budget: int):
+    def __init__(self, g: Graph, k: int, node_budget: int):
         self.g = g
         self.k = k
         self.node_budget = node_budget
@@ -173,6 +173,12 @@ class _FixedKSearch:
         return None
 
 
+def _reject_forbidden_color(mode: RainbowMode) -> None:
+    # the path table does not ban colors, so a forbidden color would go unheeded
+    if mode.forbidden_color is not None:
+        raise PreconditionError("the exact search does not support a forbidden color")
+
+
 def find_rainbow_coloring(
     g: Graph,
     k: int,
@@ -188,7 +194,8 @@ def find_rainbow_coloring(
         raise PreconditionError("find_rainbow_coloring requires a connected graph")
     if k < 1:
         raise PreconditionError("k must be at least 1")
-    search = _FixedKSearch(g, k, mode, budget.node_budget)
+    _reject_forbidden_color(mode)
+    search = _FixedKSearch(g, k, budget.node_budget)
     assignment = search.run()
     if assignment is None:
         return None
@@ -209,6 +216,7 @@ def exact_rvc(
     """
     if not is_connected(g):
         raise PreconditionError("exact_rvc requires a connected graph")
+    _reject_forbidden_color(mode)
     if g.n > budget.max_vertices:
         raise BudgetExceededError(
             f"instance has {g.n} vertices, over the budget of {budget.max_vertices}; "
@@ -221,7 +229,7 @@ def exact_rvc(
     hi = g.n if budget.max_colors is None else min(g.n, budget.max_colors)
     nodes_total = 0
     for k in range(lb, hi + 1):
-        search = _FixedKSearch(g, k, mode, budget.node_budget - nodes_total)
+        search = _FixedKSearch(g, k, budget.node_budget - nodes_total)
         assignment = search.run()
         nodes_total += search.nodes
         if assignment is not None:

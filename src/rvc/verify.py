@@ -106,13 +106,24 @@ def exists_rainbow_path(
     colors = _colors_of(c)
     budget = node_budget if node_budget is not None else node_budget_default()
     forb = mode.forbidden_color
-    if forb is not None and (colors[u] == forb or colors[v] == forb):
-        return None
-
-    # colors an internal vertex may not take (end colors are exempt)
-    base_block = 0 if forb is None else 1 << forb
-
+    block = 0 if forb is None else 1 << forb
     adj = [sorted(g.adj(w)) for w in range(g.n)]
+    return _dfs_path(g, adj, colors, u, v, block, budget)
+
+
+def _dfs_path(
+    g: Graph,
+    adj: list[list[int]],
+    colors: Sequence[int],
+    u: int,
+    v: int,
+    block: int,
+    budget: int,
+) -> tuple[int, ...] | None:
+    """First qualifying u-v path of `exists_rainbow_path`'s search order over
+    the sorted adjacency `adj`; `block` bans colors everywhere."""
+    if block >> colors[u] & 1 or block >> colors[v] & 1:
+        return None
     nodes = 0
     path = [u]
     on_path = 1 << u
@@ -126,7 +137,7 @@ def exists_rainbow_path(
                 continue
             cx = colors[x]
             bit = 1 << cx
-            if bit & (used | base_block):
+            if bit & (used | block):
                 continue
             nodes += 1
             if nodes > budget:
@@ -220,8 +231,9 @@ def verify_rainbow_vc(
             return Certificate("counterexample", failing_pair=(u, min(unreached)))
     witnesses = None
     if store_witnesses:
+        adj = [sorted(g.adj(w)) for w in range(g.n)]
         witnesses = {
-            (u, v): exists_rainbow_path(g, colors, u, v, mode, budget)
+            (u, v): _dfs_path(g, adj, colors, u, v, block, budget)
             for u, v in all_pairs(g.n)
         }
     return Certificate("verified", witnesses=witnesses)

@@ -1,10 +1,11 @@
 import io
 import os
+import re
 import sys
 
 import pytest
 
-from rvc import Graph, serialize_graph
+from rvc import Graph, random_2connected, serialize_graph
 from rvc.cli import main
 
 
@@ -50,6 +51,63 @@ class TestColor:
         path = write_graph(tmp_path, "dis.txt", Graph(4, [(0, 1), (2, 3)]))
         code, _, err = run_cli(["color", path], capsys)
         assert code == 3 and "connected" in err
+
+    def test_human_message_is_one_timing_line(self, c14, capsys):
+        code, _, err = run_cli(["color", c14], capsys)
+        assert code == 0
+        assert re.fullmatch(
+            r"constructed and verified rainbow vertex-connected in \d+\.\d{3}s\n", err
+        )
+
+
+class TestVerifyOnce:
+    """`rvc color` verifies the coloring it emits on the input graph once:
+    by the construction's own final check, or by the CLI when the
+    construction returns no certificate."""
+
+    CASES = {
+        "c14": (lambda: Graph.cycle(14), "cycle", False),
+        "k4": (lambda: Graph.complete(4), "complete", False),
+        "pipeline": (lambda: random_2connected(40, 10, seed=3), "two-connected", False),
+        "bowtie": (
+            lambda: Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]),
+            "blocks",
+            False,
+        ),
+        "capped": (lambda: random_2connected(8, 1, seed=0, kind="hamilton"), "two-connected", True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_emitted_coloring_is_verified_once(self, name, tmp_path, capsys, monkeypatch):
+        import rvc.cli
+        import rvc.coloring
+
+        make, method, capped = self.CASES[name]
+        g = make()
+        path = write_graph(tmp_path, "g.txt", g)
+        checks = []
+        original = rvc.coloring.verify_rainbow_vc
+
+        def recorder(graph, c, *args, **kwargs):
+            checks.append((graph.n, frozenset(graph.edges), tuple(getattr(c, "colors", c))))
+            return original(graph, c, *args, **kwargs)
+
+        searched = []
+        search = rvc.coloring._search_capped
+
+        def spy(graph, cap):
+            searched.append(cap)
+            return search(graph, cap)
+
+        monkeypatch.setattr(rvc.coloring, "verify_rainbow_vc", recorder)
+        monkeypatch.setattr(rvc.cli, "verify_rainbow_vc", recorder)
+        monkeypatch.setattr(rvc.coloring, "_search_capped", spy)
+        code, out, _ = run_cli(["color", path], capsys)
+        assert code == 0 and f"method {method}\n" in out
+        assert bool(searched) == capped
+        line = next(ln for ln in out.splitlines() if ln.startswith("colors "))
+        emitted = tuple(int(x) for x in line.split()[1:])
+        assert checks.count((g.n, frozenset(g.edges), emitted)) == 1
 
 
 class TestVerify:
@@ -105,6 +163,11 @@ class TestExact:
         g = write_graph(tmp_path, "c12.txt", Graph.cycle(12))
         code, out, _ = run_cli(["exact", g, "--max-n", "12"], capsys)
         assert code == 0 and out.startswith("value 5\n")
+
+    def test_zero_node_budget_is_honoured(self, tmp_path, capsys):
+        g = write_graph(tmp_path, "c12.txt", Graph.cycle(12))
+        code, _, err = run_cli(["exact", g, "--max-n", "12", "--node-budget", "0"], capsys)
+        assert code == 3 and "exceeded node budget 0" in err
 
     def test_over_budget_exit_3(self, tmp_path, capsys):
         g = write_graph(tmp_path, "c12.txt", Graph.cycle(12))

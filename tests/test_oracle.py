@@ -7,6 +7,7 @@ from rvc import (
     BudgetExceededError,
     Graph,
     PreconditionError,
+    RainbowMode,
     SearchBudget,
     cycle_reference_table,
     cycle_rvc_value,
@@ -61,6 +62,14 @@ class TestExactValues:
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
             exact_rvc(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_forbidden_color_rejected(self):
+        # the search does not honour a banned color, so it must refuse one
+        mode = RainbowMode(forbidden_color=0)
+        with pytest.raises(PreconditionError, match="forbidden color"):
+            exact_rvc(Graph.cycle(8), mode)
+        with pytest.raises(PreconditionError, match="forbidden color"):
+            find_rainbow_coloring(Graph.cycle(8), 3, mode)
 
 
 class TestFixedK:

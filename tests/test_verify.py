@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -249,6 +250,51 @@ class TestCertificateSerialization:
         text = serialize_certificate(cert)
         assert text.startswith("status verified\n")
         assert "witness 0 2 " in text
+
+    # sha256 of serialize_certificate(..., store_witnesses=True), frozen
+    # from the per-pair exists_rainbow_path witnesses
+    GOLDEN_WITNESSES = {
+        "c10": "747ea6777193a507b5ed6c64833bf88914591ad8e3accc79cb861eba13ff0eb1",
+        "ears12": "ffe3062f4462a68e51a835a7cd8ff43b8fd6a3bbcf52df84178ad240e605caa5",
+    }
+
+    def test_witness_records_are_frozen(self):
+        from rvc import cycle_coloring, random_2connected
+
+        cases = {
+            "c10": (Graph.cycle(10), cycle_coloring(10).colors),
+            "ears12": (
+                random_2connected(12, 4, seed=5, kind="ears"),
+                (0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 0, 2),
+            ),
+        }
+        for name, (g, colors) in cases.items():
+            text = serialize_certificate(verify_rainbow_vc(g, colors, store_witnesses=True))
+            assert text.count("\n") == 1 + g.n * (g.n - 1) // 2
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == self.GOLDEN_WITNESSES[name], (name, text)
+        text = serialize_certificate(
+            verify_rainbow_vc(Graph.cycle(10), cycle_coloring(10), store_witnesses=True)
+        )
+        assert "witness 0 5 0 9 8 7 6 5\n" in text
+        assert "witness 2 7 2 1 0 9 8 7\n" in text
+
+    def test_witnesses_match_per_pair_search(self):
+        rng = random.Random(12)
+        checked = 0
+        while checked < 40:
+            g = random_connected_graph(rng, rng.randint(3, 8))
+            colors = [rng.randrange(g.n) for _ in range(g.n)]
+            mode = rng.choice([RAINBOW, RainbowMode(True, max(colors) + 1)])
+            cert = verify_rainbow_vc(g, colors, mode, store_witnesses=True)
+            if not cert.verified:
+                continue
+            assert cert.witnesses == {
+                (u, v): exists_rainbow_path(g, colors, u, v, mode)
+                for u in range(g.n)
+                for v in range(u + 1, g.n)
+            }
+            checked += 1
 
     def test_counterexample(self):
         cert = verify_rainbow_vc(Graph.cycle(7), [0, 0, 1, 0, 1, 0, 1])
