@@ -433,6 +433,7 @@ def _balanced_chain(
         return None
 
     result = dfs([i % ((n0 + 1) // 2) for i in range(n0)], 0, paths)
+    dfs = None  # the recursive closure refers to itself; free the prefix graphs now
     if result is None:
         raise ConstructionError("no verified balanced chain exists for this decomposition")
     return dict(zip(order, result))

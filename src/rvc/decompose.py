@@ -179,6 +179,7 @@ def _longest_ear_impl(
                 on_path.remove(w)
 
         dfs(a)
+    dfs = None  # the recursive closure refers to itself; free its sets now
     if best is None:
         if exhausted:
             raise BudgetExceededError(
@@ -205,12 +206,12 @@ def longest_ear(g: Graph, h: Graph, budget: int = DEFAULT_EAR_BUDGET) -> Ear:
     return ear
 
 
-def find_initial_cycle(g: Graph) -> tuple[int, ...]:
+def find_initial_cycle(g: Graph, budget: int = DEFAULT_EAR_BUDGET) -> tuple[int, ...]:
     """An even cycle of g, or g's full cycle when g is an odd cycle.
 
     Takes any depth-first cycle; when it is odd and g is more than that
     cycle, an ear of it splits g into two cycles of opposite parity and the
-    even one is returned.
+    even one is returned. `budget` bounds that ear search.
     """
     if not is_2_connected(g):
         raise PreconditionError("find_initial_cycle requires a 2-connected graph")
@@ -221,7 +222,7 @@ def find_initial_cycle(g: Graph) -> tuple[int, ...]:
         return cyc  # g is this odd cycle
     verts = set(cyc)
     edges = set(_cycle_edges(cyc))
-    ear = _longest_ear_impl(g, verts, edges, DEFAULT_EAR_BUDGET)
+    ear = _longest_ear_impl(g, verts, edges, budget)
     if ear is None:
         raise PreconditionError("no ear of the initial cycle exists")
     ia, ib = cyc.index(ear.a), cyc.index(ear.b)
@@ -243,10 +244,11 @@ def ear_decomposition(g: Graph, budget: int = DEFAULT_EAR_BUDGET) -> EarDecompos
 
     The initial cycle is even unless g itself is an odd cycle; every
     prefix is 2-connected; replaying the ears reconstructs g exactly.
+    `budget` bounds each ear search, the initial cycle's included.
     """
     if not is_2_connected(g):
         raise PreconditionError("ear_decomposition requires a 2-connected graph")
-    cyc = find_initial_cycle(g)
+    cyc = find_initial_cycle(g, budget)
     covered_v = set(cyc)
     covered_e = set(_cycle_edges(cyc))
     ears: list[Ear] = []

@@ -5,14 +5,20 @@ revised rainbow path has all vertices distinctly colored, or all but its
 end vertices distinctly colored; the end vertices are exempt, so in
 particular the two ends may share a color.
 
-All-pairs verification and color-avoiding reachability search once per
-source, breadth-first over states (vertex, internal colors used so far):
-the colorful-path dynamic program of color-coding (Alon, Yuster, Zwick,
-J. ACM 1995), exponential only in the number of colors, as deciding
+All-pairs verification and color-avoiding reachability work once per
+source u. Two greedy passes certify most targets in linear time: a
+breadth-first walk from u that keeps only the first mask of internal
+colors to arrive at each vertex, then the same walk from each target still
+pending back to u. A walk whose internal colors are distinct has distinct
+internal vertices, so it is a path, and paths read both ways; each pass
+therefore only certifies, never refutes. The targets both passes miss go
+to an exact breadth-first search over states (vertex, internal colors used
+so far): the colorful-path dynamic program of color-coding (Alon, Yuster,
+Zwick, J. ACM 1995), exponential only in the number of colors, as deciding
 rainbow vertex-connectivity is NP-complete (Chen, Li, Shi, TCS 2011).
 Single-pair witnesses come from exhaustive depth-first search over simple
-paths. Absence of a path is a proof; running out of node budget raises
-instead of claiming absence.
+paths. Absence of a path is claimed only by the exact search; running out
+of node budget raises instead of claiming absence.
 """
 
 from __future__ import annotations
@@ -157,27 +163,81 @@ def _dfs_path(
     return None
 
 
+def _greedy_walk(
+    g: Graph,
+    colors: Sequence[int],
+    s: int,
+    goals: set[int],
+    block: int,
+    states: int,
+    budget: int,
+    source: int,
+) -> int:
+    """Breadth-first walk from s that removes each goal it meets from `goals`.
+
+    Keeps one mask of internal colors per vertex, from its first arrival,
+    so it is linear in the edges but may miss paths that the exact search
+    finds. Never re-enters s; `block` bans colors on internal vertices.
+    Stops once `goals` is empty. Returns `states` plus the vertices entered,
+    raising once that exceeds the budget of `source`'s search.
+    """
+    masks = [-1] * g.n
+    masks[s] = 0
+    queue = deque([s])
+    while queue and goals:
+        x = queue.popleft()
+        mask = masks[x]
+        for y in g.adj(x):
+            if y in goals:
+                goals.discard(y)
+                if not goals:
+                    return states
+            if masks[y] >= 0:
+                continue
+            bit = 1 << colors[y]
+            if bit & (mask | block):
+                continue
+            states += 1
+            if states > budget:
+                raise SearchInconclusiveError(
+                    f"path search from vertex {source} exceeded node budget {budget}"
+                )
+            masks[y] = mask | bit
+            queue.append(y)
+    return states
+
+
 def _unreached(
     g: Graph, colors: Sequence[int], u: int, targets, block: int, budget: int
 ) -> set[int]:
     """Targets that no qualifying path from u reaches.
 
-    A state (x, mask) is a walk from u to internal vertex x whose internal
-    colors, the set mask, are distinct, so it repeats no internal vertex.
-    Walks never re-enter u, and a state is skipped when x already kept one
-    whose mask is a subset. `block` bans colors on internal vertices and on
-    both ends. Stops once every target is reached; the budget bounds the
-    kept states.
+    Pass 1 is a greedy walk from u over the pending targets; pass 2 is a
+    greedy walk from each target still pending back to u. Only the residue
+    goes to the exact search: a state (x, mask) is a walk from u to
+    internal vertex x whose internal colors, the set mask, are distinct, so
+    it repeats no internal vertex. Walks never re-enter u, and a state is
+    skipped when x already kept one whose mask is a subset. `block` bans
+    colors on internal vertices and on both ends. Stops once every target
+    is reached; the budget bounds the vertices the passes enter plus the
+    states the search keeps.
     """
     unreached = set(targets)
     if block >> colors[u] & 1:
         return unreached
     pending = {t for t in unreached if not block >> colors[t] & 1}
     unreached -= pending
+    states = _greedy_walk(g, colors, u, pending, block, 0, budget, u)
+    for t in sorted(pending):
+        goal = {u}
+        states = _greedy_walk(g, colors, t, goal, block, states, budget, u)
+        if not goal:
+            pending.discard(t)
+    if not pending:
+        return unreached
     kept: list[list[int]] = [[] for _ in range(g.n)]
-    states = 0
     queue = deque([(u, 0)])
-    while queue and pending:
+    while queue:
         x, mask = queue.popleft()
         for y in g.adj(x):
             if y == u:
@@ -213,7 +273,8 @@ def verify_rainbow_vc(
     """Check every unordered vertex pair for a qualifying path.
 
     The counterexample reported is the lexicographically first failing
-    pair. The node budget bounds the states kept by each source's search.
+    pair. The node budget bounds, per source, the vertices the greedy
+    passes enter plus the states the exact search keeps.
     """
     if not is_connected(g):
         raise PreconditionError("verify_rainbow_vc requires a connected graph")

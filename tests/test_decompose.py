@@ -145,6 +145,15 @@ class TestLongestEar:
         with pytest.raises(BudgetExceededError):
             ear_decomposition(g, budget=1)
 
+    def test_decomposition_budget_reaches_initial_cycle_search(self):
+        # the depth-first cycle 0-1-2-3-4 is odd, so the initial cycle needs
+        # an ear search, which one path extension cannot finish
+        from rvc import BudgetExceededError
+
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (5, 6), (2, 6)])
+        with pytest.raises(BudgetExceededError):
+            ear_decomposition(g, budget=1)
+
 
 class TestEarDecomposition:
     def test_plain_cycle_has_no_ears(self):
@@ -186,6 +195,24 @@ class TestEarDecomposition:
                 )
                 sub, _ = g.induced(covered)
                 assert is_2_connected(sub) if len(covered) >= 3 else True
+
+    def test_each_ear_is_the_first_longest(self):
+        # every ear is the longest, lexicographically first ear of its
+        # prefix, by exhaustive enumeration independent of the library
+        rng = random.Random(11)
+        for i in range(25):
+            n = rng.randint(6, 8)
+            g = random_2connected(n, rng.randint(1, n), seed=200 + i,
+                                  kind=rng.choice(["hamilton", "ears"]))
+            d = ear_decomposition(g)
+            covered = set(d.initial_cycle)
+            edges = cycle_edges(d.initial_cycle)
+            for ear in d.ears:
+                expected = min(brute_force_ears(g, covered, edges),
+                               key=lambda p: (-len(p), p))
+                assert ear.path == expected and not ear.heuristic
+                covered.update(ear.path)
+                edges.update((min(x, y), max(x, y)) for x, y in zip(ear.path, ear.path[1:]))
 
     def test_rejects_non_2connected(self, bowtie):
         with pytest.raises(PreconditionError):

@@ -156,6 +156,15 @@ class TestVerifyAllPairs:
         with pytest.raises(SearchInconclusiveError):
             verify_rainbow_vc(Graph.path(8), list(range(8)), node_budget=1)
 
+    def test_pair_missed_by_both_greedy_passes(self):
+        # the first-arrival walks from 5 and from 8 both miss the other end,
+        # so only the exact search over the residue finds 5-4-3-6-1-8
+        g = Graph(9, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 6), (1, 7), (1, 8), (2, 3),
+                      (2, 5), (2, 6), (3, 4), (3, 6), (4, 5)])
+        colors = [7, 5, 5, 3, 7, 2, 2, 3, 2]
+        assert is_rainbow_path((5, 4, 3, 6, 1, 8), colors)
+        assert verify_rainbow_vc(g, colors).verified
+
     def test_revised_pass_implies_rainbow_pass(self):
         rng = random.Random(7)
         for _ in range(60):
