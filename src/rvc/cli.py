@@ -12,8 +12,8 @@ the same flags and inputs; timings are shown only in human format.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
-import os
 import sys
 import time
 
@@ -39,7 +39,13 @@ from .graph import (
     parse_graph,
 )
 from .oracle import SearchBudget, cycle_reference_table, exact_rvc
-from .verify import RAINBOW, REVISED, serialize_certificate, verify_rainbow_vc
+from .verify import (
+    DEFAULT_NODE_BUDGET,
+    node_budget_default,
+    parse_node_budget,
+    serialize_certificate,
+    verify_rainbow_vc,
+)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -68,11 +74,11 @@ def _echo(args_ns: argparse.Namespace, out) -> None:
                 print(f"{attr} sha256:{_digest(path)}", file=out)
 
 
-def _node_budget(args_ns: argparse.Namespace) -> int | None:
-    env = os.environ.get("RVC_NODE_BUDGET")
-    if getattr(args_ns, "node_budget", None) is not None:
-        return args_ns.node_budget
-    return int(env) if env else None
+def _node_budget(args_ns: argparse.Namespace, default: int) -> int:
+    """--node-budget if given, else RVC_NODE_BUDGET if set, else `default`."""
+    if args_ns.node_budget is not None:
+        return parse_node_budget(args_ns.node_budget, "--node-budget")
+    return node_budget_default(default)
 
 
 def cmd_decompose(args) -> int:
@@ -133,7 +139,7 @@ def cmd_color(args) -> int:
     else:
         raise AssertionError(method)
     if cert is None:  # the construction did not verify its result on g
-        cert = verify_rainbow_vc(g, coloring, RAINBOW)
+        cert = verify_rainbow_vc(g, coloring)
     elapsed = time.perf_counter() - t0
     if not cert.verified:
         print(
@@ -161,13 +167,11 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    mode = REVISED if args.revised else RAINBOW
     cert = verify_rainbow_vc(
         g,
         coloring,
-        mode,
         store_witnesses=args.witnesses,
-        node_budget=_node_budget(args),
+        node_budget=_node_budget(args, DEFAULT_NODE_BUDGET),
     )
     _echo(args, sys.stdout)
     print(serialize_certificate(cert), end="")
@@ -176,14 +180,12 @@ def cmd_verify(args) -> int:
 
 def cmd_exact(args) -> int:
     g = _read_graph(args.input)
-    node_budget = _node_budget(args)
     budget = SearchBudget(
         max_vertices=args.max_n,
-        node_budget=SearchBudget().node_budget if node_budget is None else node_budget,
+        node_budget=_node_budget(args, SearchBudget().node_budget),
     )
-    mode = REVISED if args.revised else RAINBOW
     t0 = time.perf_counter()
-    result = exact_rvc(g, mode, budget)
+    result = exact_rvc(g, budget=budget)
     elapsed = time.perf_counter() - t0
     _echo(args, sys.stdout)
     if args.format == "structured":
@@ -216,6 +218,10 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+REVISED_HELP = "accepted for compatibility; the revised predicate is the rainbow one"
+
+
+@functools.cache  # built on the first call of main, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rvc",
@@ -242,17 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a coloring file against a graph")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("coloring", help="coloring record file")
-    p.add_argument("--revised", action="store_true", help="use the revised path predicate")
+    p.add_argument("--revised", action="store_true", help=REVISED_HELP)
     p.add_argument("--witnesses", action="store_true", help="include witness paths in the record")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exact", help="exact minimum via exhaustive search (small graphs)")
     p.add_argument("input", help="edge-list file")
-    p.add_argument("--revised", action="store_true")
+    p.add_argument("--revised", action="store_true", help=REVISED_HELP)
     p.add_argument("--max-n", type=int, default=SearchBudget().max_vertices,
                    help="vertex-count budget override")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("table", help="cycle values: constructed vs exact vs closed form")
@@ -263,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as err:

@@ -19,9 +19,8 @@ from .errors import (
 )
 from .graph import Graph, block_decomposition, diameter, is_2_connected, is_connected
 from .verify import (
-    RAINBOW,
-    REVISED,
     Certificate,
+    color_stats,
     has_color_avoiding_connectivity,
     verify_rainbow_vc,
 )
@@ -137,32 +136,21 @@ def cycle_coloring(n: int) -> Coloring:
     return Coloring(colors, reported_count=len(set(colors)), method="cycle")
 
 
-def _once_used(colors: dict[int, int]) -> list[int]:
-    counts: dict[int, int] = {}
-    for col in colors.values():
-        counts[col] = counts.get(col, 0) + 1
-    return sorted(c for c, k in counts.items() if k == 1)
-
-
 def _check_balanced_precondition(colors: list[int]) -> int | None:
     """Structural checks on the incoming coloring; returns the once-used
     color when the host order is odd."""
     h_order = len(colors)
-    distinct = len(set(colors))
-    if distinct != (h_order + 1) // 2:
+    stats = color_stats(colors)
+    if stats.distinct != (h_order + 1) // 2:
         raise PreconditionError(
-            f"host coloring uses {distinct} colors, expected {(h_order + 1) // 2}"
+            f"host coloring uses {stats.distinct} colors, expected {(h_order + 1) // 2}"
         )
-    counts: dict[int, int] = {}
-    for col in colors:
-        counts[col] = counts.get(col, 0) + 1
-    if max(counts.values()) > 2:
+    if max(stats.histogram.values()) > 2:
         raise PreconditionError("host coloring uses some color more than twice")
     if h_order % 2 == 1:
-        once = [c for c, k in counts.items() if k == 1]
-        if len(once) != 1:
+        if len(stats.once_used) != 1:
             raise PreconditionError("odd-order host coloring must have exactly one once-used color")
-        return once[0]
+        return stats.once_used[0]
     return None
 
 
@@ -273,7 +261,7 @@ def _extension_options(
         if placement is not None and ear_path[placement] in avoid_vertices:
             continue
         out = _apply_balanced(colors, ear_path, x, placement)
-        if not verify_rainbow_vc(g, out, REVISED).verified:
+        if not verify_rainbow_vc(g, out).verified:
             continue
         if star_target is not None and not has_color_avoiding_connectivity(
             g, out, star_target, out[ear_path[placement]]
@@ -565,7 +553,7 @@ def _search_capped(g: Graph, cap: int) -> Coloring | None:
     lb = max(diameter(g) - 1, 1)
     budget = SearchBudget(max_vertices=g.n)
     for k in range(lb, cap + 1):
-        found = find_rainbow_coloring(g, k, RAINBOW, budget)
+        found = find_rainbow_coloring(g, k, budget=budget)
         if found is not None:
             coloring, _ = found
             return Coloring(coloring.colors, coloring.reported_count, method="exact")
@@ -640,8 +628,8 @@ def _two_connected_pipeline(g: Graph) -> tuple[Coloring, Certificate] | None:
     short_ears = [e for e in rest if 2 <= e.length <= 4]
     c_t = _balanced_chain(d.initial_cycle, long_ears)
 
-    stats_once = _once_used(c_t)
-    candidates = stats_once + sorted(set(c_t.values()) - set(stats_once))
+    once = color_stats(c_t.values()).once_used
+    candidates = [*once, *sorted(set(c_t.values()) - set(once))]
     for x in candidates:
         colors = _short_ear_colors(c_t, short_ears, x)
         if len(colors) != g.n:

@@ -19,7 +19,7 @@ from itertools import combinations
 from .coloring import Coloring
 from .errors import BudgetExceededError, PreconditionError
 from .graph import Graph, all_pairs, diameter, is_2_connected, is_connected
-from .verify import RAINBOW, RainbowMode, verify_rainbow_vc
+from .verify import verify_rainbow_vc
 
 MAX_PATH_TABLE = 2_000_000  # safety valve on total path-table entries
 
@@ -29,7 +29,6 @@ class SearchBudget:
     """Limits for the exact search; instances above max_vertices are refused."""
 
     max_vertices: int = 11
-    max_colors: int | None = None
     node_budget: int = 200_000_000
 
 
@@ -92,7 +91,7 @@ class _FixedKSearch:
             total += sum(len(p) for p in cand)
             if total > MAX_PATH_TABLE:
                 raise BudgetExceededError(
-                    "path table too large; raise the color cap or shrink the instance"
+                    "path table too large; shrink the instance"
                 )
             for p in cand:
                 paths.append(p)
@@ -173,16 +172,27 @@ class _FixedKSearch:
         return None
 
 
-def _reject_forbidden_color(mode: RainbowMode) -> None:
-    # the path table does not ban colors, so a forbidden color would go unheeded
-    if mode.forbidden_color is not None:
+def _check_instance(
+    g: Graph, forbidden: int | None, budget: SearchBudget, caller: str
+) -> None:
+    """Refuse what the exact search cannot decide: a disconnected graph, a
+    forbidden color (the path table does not ban colors, so it would go
+    unheeded) and an instance over the budget's vertex count."""
+    if not is_connected(g):
+        raise PreconditionError(f"{caller} requires a connected graph")
+    if forbidden is not None:
         raise PreconditionError("the exact search does not support a forbidden color")
+    if g.n > budget.max_vertices:
+        raise BudgetExceededError(
+            f"instance has {g.n} vertices, over the budget of {budget.max_vertices}; "
+            "pass a larger SearchBudget to override"
+        )
 
 
 def find_rainbow_coloring(
     g: Graph,
     k: int,
-    mode: RainbowMode = RAINBOW,
+    forbidden: int | None = None,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> tuple[Coloring, int] | None:
     """Exhaustive search for a coloring with exactly k colors that verifies.
@@ -190,11 +200,9 @@ def find_rainbow_coloring(
     Returns (coloring, nodes expanded) or None; None is a proof that no
     such coloring exists.
     """
-    if not is_connected(g):
-        raise PreconditionError("find_rainbow_coloring requires a connected graph")
+    _check_instance(g, forbidden, budget, "find_rainbow_coloring")
     if k < 1:
         raise PreconditionError("k must be at least 1")
-    _reject_forbidden_color(mode)
     search = _FixedKSearch(g, k, budget.node_budget)
     assignment = search.run()
     if assignment is None:
@@ -205,40 +213,32 @@ def find_rainbow_coloring(
 
 def exact_rvc(
     g: Graph,
-    mode: RainbowMode = RAINBOW,
+    forbidden: int | None = None,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> OracleResult:
-    """Minimum k such that some k-coloring passes the verifier in `mode`.
+    """Minimum k such that some k-coloring passes the verifier.
 
     Complete graphs report 0 by convention. Enumeration starts at the
     diameter lower bound and increases, so the first witness found is
     optimal; the witness is re-verified before being returned.
     """
-    if not is_connected(g):
-        raise PreconditionError("exact_rvc requires a connected graph")
-    _reject_forbidden_color(mode)
-    if g.n > budget.max_vertices:
-        raise BudgetExceededError(
-            f"instance has {g.n} vertices, over the budget of {budget.max_vertices}; "
-            "pass a larger SearchBudget to override"
-        )
+    _check_instance(g, forbidden, budget, "exact_rvc")
     if g.is_complete():
         witness = Coloring((0,) * g.n, reported_count=0, method="exact")
         return OracleResult(0, witness, 0)
     lb = max(diameter(g) - 1, 1)
-    hi = g.n if budget.max_colors is None else min(g.n, budget.max_colors)
     nodes_total = 0
-    for k in range(lb, hi + 1):
+    for k in range(lb, g.n + 1):
         search = _FixedKSearch(g, k, budget.node_budget - nodes_total)
         assignment = search.run()
         nodes_total += search.nodes
         if assignment is not None:
             witness = Coloring(tuple(assignment), reported_count=k, method="exact")
-            cert = verify_rainbow_vc(g, witness, mode)
+            cert = verify_rainbow_vc(g, witness)
             if not cert.verified:
                 raise AssertionError(f"oracle witness failed re-verification at {cert.failing_pair}")
             return OracleResult(k, witness, nodes_total)
-    raise PreconditionError(f"no coloring found with at most {hi} colors")
+    raise PreconditionError(f"no coloring found with at most {g.n} colors")
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ def cycle_reference_table(
         constructed = c.reported_count if cert.verified else -1
         exact = None
         if n <= max_exact_n:
-            exact = exact_rvc(g, RAINBOW, budget).value
+            exact = exact_rvc(g, budget=budget).value
         rows.append(TableRow(n, constructed, exact, cycle_rvc_value(n)))
     return rows
 

@@ -1,9 +1,11 @@
-"""Rainbow / revised-rainbow path search and all-pairs certificate checking.
+"""Rainbow path search and all-pairs certificate checking.
 
-A rainbow path has pairwise-distinct colors on its internal vertices. A
-revised rainbow path has all vertices distinctly colored, or all but its
-end vertices distinctly colored; the end vertices are exempt, so in
-particular the two ends may share a color.
+A rainbow path has pairwise-distinct colors on its internal vertices; its
+end vertices are exempt, so in particular the two ends may share a color.
+The "revised" reading (all vertices distinct, or all but the ends) is the
+same predicate, so `REVISED` is kept only as an alias of `RAINBOW`. Every
+search takes an optional forbidden color, banned on every vertex of the
+path, ends included.
 
 All-pairs verification and color-avoiding reachability work once per
 source u. Two greedy passes certify most targets in linear time: a
@@ -34,27 +36,26 @@ from .graph import Graph, all_pairs, is_connected
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-def node_budget_default() -> int:
+def parse_node_budget(text: str, source: str) -> int:
+    """A node budget given as text; `source` names where it came from."""
+    try:
+        budget = int(text)
+        if budget >= 0:
+            return budget
+    except ValueError:
+        pass
+    raise PreconditionError(f"{source} must be a non-negative integer, got {text!r}")
+
+
+def node_budget_default(default: int = DEFAULT_NODE_BUDGET) -> int:
+    """RVC_NODE_BUDGET when it is set and non-empty, else `default`."""
     env = os.environ.get("RVC_NODE_BUDGET")
-    return int(env) if env else DEFAULT_NODE_BUDGET
+    return parse_node_budget(env, "RVC_NODE_BUDGET") if env else default
 
 
-@dataclass(frozen=True)
-class RainbowMode:
-    """Path predicate selector; forbidden_color bans a color everywhere on the path.
-
-    The revised flag selects the predicate "all vertices distinct, or all
-    but the ends distinct", which coincides with the plain internal
-    distinctness check; it is kept as a separate mode so callers state
-    which notion they are certifying.
-    """
-
-    revised: bool = False
-    forbidden_color: int | None = None
-
-
-RAINBOW = RainbowMode()
-REVISED = RainbowMode(revised=True)
+# the forbidden-color argument of the path searches: no color is banned
+RAINBOW = None
+REVISED = None  # the revised predicate is the rainbow one; kept as an alias
 
 
 @dataclass(frozen=True)
@@ -81,15 +82,12 @@ def _colors_of(c) -> Sequence[int]:
     return getattr(c, "colors", c)
 
 
-def is_rainbow_path(path: Sequence[int], c, mode: RainbowMode = RAINBOW) -> bool:
+def is_rainbow_path(path: Sequence[int], c, forbidden: int | None = None) -> bool:
     """Color predicate on a path given as its vertex sequence."""
     colors = _colors_of(c)
     seq = [colors[v] for v in path]
-    if mode.forbidden_color is not None and mode.forbidden_color in seq:
+    if forbidden is not None and forbidden in seq:
         return False
-    # both modes demand pairwise-distinct internal colors; the revised
-    # disjunction "all distinct, or all but the ends distinct" reduces to
-    # the same check, with the ends exempt either way
     internal = seq[1:-1]
     return len(internal) == len(set(internal))
 
@@ -99,7 +97,7 @@ def exists_rainbow_path(
     c,
     u: int,
     v: int,
-    mode: RainbowMode = RAINBOW,
+    forbidden: int | None = None,
     node_budget: int | None = None,
 ) -> tuple[int, ...] | None:
     """Some qualifying simple path from u to v, or None after exhaustive search.
@@ -111,8 +109,7 @@ def exists_rainbow_path(
         raise PreconditionError("exists_rainbow_path requires distinct endpoints")
     colors = _colors_of(c)
     budget = node_budget if node_budget is not None else node_budget_default()
-    forb = mode.forbidden_color
-    block = 0 if forb is None else 1 << forb
+    block = 0 if forbidden is None else 1 << forbidden
     adj = [sorted(g.adj(w)) for w in range(g.n)]
     return _dfs_path(g, adj, colors, u, v, block, budget)
 
@@ -266,7 +263,7 @@ def _unreached(
 def verify_rainbow_vc(
     g: Graph,
     c,
-    mode: RainbowMode = RAINBOW,
+    forbidden: int | None = None,
     store_witnesses: bool = False,
     node_budget: int | None = None,
 ) -> Certificate:
@@ -284,8 +281,7 @@ def verify_rainbow_vc(
             f"coloring covers {len(colors)} vertices but the graph has {g.n}"
         )
     budget = node_budget if node_budget is not None else node_budget_default()
-    forb = mode.forbidden_color
-    block = 0 if forb is None else 1 << forb
+    block = 0 if forbidden is None else 1 << forbidden
     for u in range(g.n - 1):
         unreached = _unreached(g, colors, u, range(u + 1, g.n), block, budget)
         if unreached:

@@ -147,6 +147,43 @@ class TestVerify:
         code, _, err = run_cli(["verify", g, str(coloring_path)], capsys)
         assert code == 5 and "budget" in err
 
+    def test_malformed_env_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        g = write_graph(tmp_path, "c5.txt", Graph.cycle(5))
+        coloring_path = tmp_path / "c.txt"
+        coloring_path.write_text("colors 0 0 0 0 0\n")
+        assert run_cli(["verify", g, str(coloring_path)], capsys)[0] == 0
+        # the parser is reused across calls, the environment is read on each
+        monkeypatch.setenv("RVC_NODE_BUDGET", "abc")
+        for argv in (["verify", g, str(coloring_path)], ["color", g]):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 3 and "RVC_NODE_BUDGET" in err
+
+    @pytest.mark.parametrize("value", ["-3", "abc"])
+    def test_malformed_flag_budget_exit_3(self, tmp_path, capsys, value):
+        g = write_graph(tmp_path, "c5.txt", Graph.cycle(5))
+        coloring_path = tmp_path / "c.txt"
+        coloring_path.write_text("colors 0 0 0 0 0\n")
+        code, _, err = run_cli(["verify", g, str(coloring_path), "--node-budget", value], capsys)
+        assert code == 3 and "--node-budget" in err
+        code, _, err = run_cli(["exact", g, "--node-budget", value], capsys)
+        assert code == 3 and "--node-budget" in err
+
+    def test_revised_is_an_alias(self, tmp_path, capsys):
+        g = write_graph(tmp_path, "c7.txt", Graph.cycle(7))
+        good = tmp_path / "good.txt"
+        good.write_text("colors 0 0 0 1 0 2 1\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("colors 0 0 1 0 1 0 1\n")
+        for argv in (
+            ["verify", g, str(good)],
+            ["verify", g, str(good), "--witnesses"],
+            ["verify", g, str(bad)],
+            ["exact", g],
+        ):
+            plain = run_cli(["--format", "structured", *argv], capsys)
+            revised = run_cli(["--format", "structured", *argv, "--revised"], capsys)
+            assert plain == revised
+
 
 class TestExact:
     def test_c9(self, tmp_path, capsys):

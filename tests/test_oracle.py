@@ -7,7 +7,6 @@ from rvc import (
     BudgetExceededError,
     Graph,
     PreconditionError,
-    RainbowMode,
     SearchBudget,
     cycle_reference_table,
     cycle_rvc_value,
@@ -63,13 +62,12 @@ class TestExactValues:
         with pytest.raises(PreconditionError):
             exact_rvc(Graph(4, [(0, 1), (2, 3)]))
 
-    def test_forbidden_color_rejected(self):
+    def test_forbidden_rejected(self):
         # the search does not honour a banned color, so it must refuse one
-        mode = RainbowMode(forbidden_color=0)
         with pytest.raises(PreconditionError, match="forbidden color"):
-            exact_rvc(Graph.cycle(8), mode)
+            exact_rvc(Graph.cycle(8), 0)
         with pytest.raises(PreconditionError, match="forbidden color"):
-            find_rainbow_coloring(Graph.cycle(8), 3, mode)
+            find_rainbow_coloring(Graph.cycle(8), 3, 0)
 
 
 class TestFixedK:
@@ -82,6 +80,12 @@ class TestFixedK:
         coloring, nodes = found
         assert nodes > 0
         assert verify_rainbow_vc(Graph.cycle(9), coloring).verified
+
+    def test_vertex_budget_is_honoured(self):
+        with pytest.raises(BudgetExceededError):
+            find_rainbow_coloring(Graph.cycle(12), 5)
+        found = find_rainbow_coloring(Graph.cycle(12), 5, budget=SearchBudget(max_vertices=12))
+        assert found is not None
 
     def test_canonical_first_use_order(self):
         coloring, _ = find_rainbow_coloring(Graph.cycle(11), 5)

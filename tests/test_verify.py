@@ -10,7 +10,6 @@ from rvc import (
     REVISED,
     Graph,
     PreconditionError,
-    RainbowMode,
     SearchInconclusiveError,
     color_stats,
     exists_rainbow_path,
@@ -40,11 +39,10 @@ class TestPathPredicate:
         assert is_rainbow_path(path, colors, RAINBOW)
         assert is_rainbow_path(path, colors, REVISED)
 
-    def test_forbidden_color_bans_everywhere(self):
-        mode = RainbowMode(revised=True, forbidden_color=3)
-        assert not is_rainbow_path((0, 1, 2), [3, 1, 2], mode)
-        assert not is_rainbow_path((0, 1, 2), [1, 3, 2], mode)
-        assert is_rainbow_path((0, 1, 2), [1, 4, 2], mode)
+    def test_forbidden_bans_everywhere(self):
+        assert not is_rainbow_path((0, 1, 2), [3, 1, 2], 3)
+        assert not is_rainbow_path((0, 1, 2), [1, 3, 2], 3)
+        assert is_rainbow_path((0, 1, 2), [1, 4, 2], 3)
 
 
 class TestExistsPath:
@@ -93,19 +91,17 @@ class TestExistsPath:
             g = random_connected_graph(rng, rng.randint(3, 6))
             k = rng.randint(1, g.n)
             colors = [rng.randrange(k) for _ in range(g.n)]
-            mode = rng.choice(
-                [RAINBOW, REVISED, RainbowMode(False, 0), RainbowMode(True, 1)]
-            )
+            forbidden = rng.choice([RAINBOW, REVISED, 0, 1])
             for u in range(g.n):
                 for v in range(u + 1, g.n):
-                    found = exists_rainbow_path(g, colors, u, v, mode)
+                    found = exists_rainbow_path(g, colors, u, v, forbidden)
                     naive = any(
-                        is_rainbow_path(p, colors, mode)
+                        is_rainbow_path(p, colors, forbidden)
                         for p in naive_simple_paths(g, u, v)
                     )
                     assert (found is not None) == naive
                     if found is not None:
-                        assert is_rainbow_path(found, colors, mode)
+                        assert is_rainbow_path(found, colors, forbidden)
 
 
 class TestVerifyAllPairs:
@@ -125,18 +121,17 @@ class TestVerifyAllPairs:
 
     def test_failing_pair_is_lexicographic_minimum(self):
         rng = random.Random(10)
-        modes = [RAINBOW, REVISED, RainbowMode(False, 0), RainbowMode(True, 1)]
         for _ in range(150):
             g = random_connected_graph(rng, rng.randint(3, 8))
             k = rng.randint(1, g.n)
             colors = [rng.randrange(k) for _ in range(g.n)]
-            for mode in modes:
-                cert = verify_rainbow_vc(g, colors, mode)
+            for forbidden in (RAINBOW, REVISED, 0, 1):
+                cert = verify_rainbow_vc(g, colors, forbidden)
                 failing = [
                     (u, v)
                     for u in range(g.n)
                     for v in range(u + 1, g.n)
-                    if exists_rainbow_path(g, colors, u, v, mode) is None
+                    if exists_rainbow_path(g, colors, u, v, forbidden) is None
                 ]
                 assert cert.verified == (not failing)
                 assert cert.failing_pair == min(failing, default=None)
@@ -211,10 +206,9 @@ class TestAvoidingConnectivity:
         g = Graph.cycle(5)
         colors = [1, 1, 1, 1, 2]
         naive_ok = {}
-        mode = RainbowMode(revised=True, forbidden_color=2)
         for u in (1, 2, 3):
             naive_ok[u] = any(
-                is_rainbow_path(p, colors, mode) for p in naive_simple_paths(g, 0, u)
+                is_rainbow_path(p, colors, 2) for p in naive_simple_paths(g, 0, u)
             )
         assert naive_ok == {1: True, 2: True, 3: False}
         assert not has_color_avoiding_connectivity(g, colors, 0, 2)
@@ -230,12 +224,11 @@ class TestAvoidingConnectivity:
             k = rng.randint(2, g.n + 1)
             colors = [rng.randrange(k) for _ in range(g.n)]
             for x in set(colors):
-                mode = RainbowMode(revised=True, forbidden_color=x)
                 for v in range(g.n):
                     if colors[v] == x:
                         continue
                     expected = all(
-                        exists_rainbow_path(g, colors, v, u, mode) is not None
+                        exists_rainbow_path(g, colors, v, u, x) is not None
                         for u in range(g.n)
                         if u != v and colors[u] != x
                     )
@@ -294,12 +287,12 @@ class TestCertificateSerialization:
         while checked < 40:
             g = random_connected_graph(rng, rng.randint(3, 8))
             colors = [rng.randrange(g.n) for _ in range(g.n)]
-            mode = rng.choice([RAINBOW, RainbowMode(True, max(colors) + 1)])
-            cert = verify_rainbow_vc(g, colors, mode, store_witnesses=True)
+            forbidden = rng.choice([RAINBOW, max(colors) + 1])
+            cert = verify_rainbow_vc(g, colors, forbidden, store_witnesses=True)
             if not cert.verified:
                 continue
             assert cert.witnesses == {
-                (u, v): exists_rainbow_path(g, colors, u, v, mode)
+                (u, v): exists_rainbow_path(g, colors, u, v, forbidden)
                 for u in range(g.n)
                 for v in range(u + 1, g.n)
             }
