@@ -18,6 +18,7 @@ import sys
 import time
 
 from .coloring import (
+    Coloring,
     _block_certified,
     _two_connected_certified,
     parse_coloring,
@@ -118,8 +119,10 @@ def cmd_color(args) -> int:
             method = "cycle"
         elif is_2_connected(g):
             method = "two-connected"
-        else:
+        elif g.n >= 2:
             method = "blocks"
+        else:
+            method = "complete"  # no pair of vertices to connect, so no blocks either
     t0 = time.perf_counter()
     if method == "cycle":
         if not _is_cycle(g):
@@ -136,6 +139,8 @@ def cmd_color(args) -> int:
             print("error: --method blocks requires at least two vertices", file=sys.stderr)
             return EXIT_PRECONDITION
         coloring, cert = _block_certified(g)
+    elif method == "complete":
+        coloring, cert = Coloring((0,) * g.n, reported_count=0, method="complete"), None
     else:
         raise AssertionError(method)
     if cert is None:  # the construction did not verify its result on g

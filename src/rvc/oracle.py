@@ -7,7 +7,10 @@ paths: a path dies as soon as two of its colored internal vertices share a
 color, and a partial assignment is rejected the moment some pair has no
 live path left. Paths with more internal vertices than there are colors
 are dropped before the search starts, which is what makes the exhaustive
-nonexistence checks on mid-size cycles finish at desk scale.
+nonexistence checks on mid-size cycles finish at desk scale. The table is
+built one source at a time: a single depth-first sweep from u lists the
+paths to every v > u at once, in the order a search for each pair alone
+would find them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import combinations
 
 from .coloring import Coloring
 from .errors import BudgetExceededError, PreconditionError
-from .graph import Graph, all_pairs, diameter, is_2_connected, is_connected
+from .graph import Graph, _bfs_dist, all_pairs, is_2_connected, is_connected
 from .verify import verify_rainbow_vc
 
 MAX_PATH_TABLE = 2_000_000  # safety valve on total path-table entries
@@ -42,60 +45,74 @@ class OracleResult:
     nodes: int
 
 
-def _enumerate_paths(g: Graph, u: int, v: int, max_internal: int) -> list[tuple[int, ...]]:
-    """All simple u-v paths with at most max_internal internal vertices."""
-    out: list[tuple[int, ...]] = []
-    path = [u]
-    on_path = {u}
+def _paths_from(
+    adj: list[list[int]], u: int, max_internal: int, stop: int, room: int
+) -> tuple[list[list[tuple[int, ...]]], int]:
+    """Simple paths from u with at most max_internal internal vertices,
+    listed by end vertex v for u < v < stop, from one depth-first sweep over
+    the sorted adjacency `adj`.
 
-    def dfs(w: int):
-        for x in sorted(g.adj(w)):
-            if x == v:
-                out.append(tuple(path) + (v,))
-                continue
-            if x in on_path or len(path) - 1 >= max_internal:
-                continue
-            path.append(x)
-            on_path.add(x)
-            dfs(x)
-            path.pop()
-            on_path.remove(x)
+    A path to v is recorded wherever the sweep stands next to v, and the
+    sweep goes on through v, so v's list holds the paths of a search for v
+    alone, in that search's order. `room` is what the path table may still
+    take, in path vertices: the sweep raises once it is used up, and
+    returns the lists with what is left.
+    """
+    lists: list[list[tuple[int, ...]]] = [[] for _ in adj]
 
-    dfs(u)
-    return out
+    def dfs(path: tuple[int, ...], on_path: int) -> None:
+        nonlocal room
+        deeper = len(path) <= max_internal
+        for x in adj[path[-1]]:
+            if on_path >> x & 1:
+                continue
+            p = path + (x,)
+            if u < x < stop:
+                lists[x].append(p)
+                room -= len(p)
+                if room < 0:
+                    raise BudgetExceededError("path table too large; shrink the instance")
+            if deeper:
+                dfs(p, on_path | 1 << x)
+
+    dfs((u,), 1 << u)
+    return lists, room
 
 
 class _FixedKSearch:
-    """Backtracking search for one coloring with exactly k colors."""
+    """Backtracking search for one coloring with exactly k colors.
 
-    def __init__(self, g: Graph, k: int, node_budget: int):
+    `dist` holds the graph's shortest-path distances. The path table is
+    built one source at a time, in `all_pairs` order.
+    """
+
+    def __init__(self, g: Graph, k: int, node_budget: int, dist: list[list[int]]):
         self.g = g
         self.k = k
         self.node_budget = node_budget
         self.nodes = 0
         n = g.n
-        # a path with more internal vertices than colors can never qualify
-        max_internal = k
-
         self.pairs = list(all_pairs(n))
-        self.feasible = True
+        # a path with more internal vertices than colors can never qualify,
+        # so a pair more than k + 1 apart has no usable path and no k-coloring
+        # can work; the table is still built up to that pair, because a
+        # table too large before it is reported first
+        far = next(((u, v) for u, v in self.pairs if dist[u][v] > k + 1), None)
+        self.feasible = far is None
+        last, last_stop = far or (n - 2, n)
+        adj = [sorted(g.adj(w)) for w in range(n)]
         paths: list[tuple[int, ...]] = []
         pair_of: list[int] = []
-        total = 0
-        for pid_pair, (u, v) in enumerate(self.pairs):
-            cand = _enumerate_paths(g, u, v, max_internal)
-            if not cand:
-                # no path short enough for k colors: no k-coloring can work
-                self.feasible = False
-                return
-            total += sum(len(p) for p in cand)
-            if total > MAX_PATH_TABLE:
-                raise BudgetExceededError(
-                    "path table too large; shrink the instance"
-                )
-            for p in cand:
-                paths.append(p)
-                pair_of.append(pid_pair)
+        room = MAX_PATH_TABLE
+        pid = 0
+        for u in range(last + 1):
+            lists, room = _paths_from(adj, u, k, last_stop if u == last else n, room)
+            for v in range(u + 1, n):
+                paths.extend(lists[v])
+                pair_of.extend([pid] * len(lists[v]))
+                pid += 1
+        if not self.feasible:
+            return
 
         self.pair_of = pair_of
         self.path_mask = [0] * len(paths)
@@ -189,6 +206,10 @@ def _check_instance(
         )
 
 
+def _distances(g: Graph) -> list[list[int]]:
+    return [_bfs_dist(g, s) for s in range(g.n)]
+
+
 def find_rainbow_coloring(
     g: Graph,
     k: int,
@@ -203,7 +224,7 @@ def find_rainbow_coloring(
     _check_instance(g, forbidden, budget, "find_rainbow_coloring")
     if k < 1:
         raise PreconditionError("k must be at least 1")
-    search = _FixedKSearch(g, k, budget.node_budget)
+    search = _FixedKSearch(g, k, budget.node_budget, _distances(g))
     assignment = search.run()
     if assignment is None:
         return None
@@ -226,10 +247,11 @@ def exact_rvc(
     if g.is_complete():
         witness = Coloring((0,) * g.n, reported_count=0, method="exact")
         return OracleResult(0, witness, 0)
-    lb = max(diameter(g) - 1, 1)
+    dist = _distances(g)
+    lb = max(max(map(max, dist)) - 1, 1)
     nodes_total = 0
     for k in range(lb, g.n + 1):
-        search = _FixedKSearch(g, k, budget.node_budget - nodes_total)
+        search = _FixedKSearch(g, k, budget.node_budget - nodes_total, dist)
         assignment = search.run()
         nodes_total += search.nodes
         if assignment is not None:

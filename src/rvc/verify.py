@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import PreconditionError, SearchInconclusiveError
-from .graph import Graph, all_pairs, is_connected
+from .graph import Graph, is_connected
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -158,6 +158,62 @@ def _dfs_path(
     if dfs(u, 0):
         return tuple(path) + (v,)
     return None
+
+
+def _witness_paths(
+    adj: list[list[int]],
+    colors: Sequence[int],
+    u: int,
+    block: int,
+    budget: int,
+) -> dict[int, tuple[int, ...] | None]:
+    """`_dfs_path`'s path from u to every v > u, from one depth-first walk in
+    its order.
+
+    Without a target the walk visits nodes in the order every `_dfs_path`
+    search from u does, up to the first node adjacent to its target v, where
+    that search stops with the walk's current path. So v is resolved there,
+    and the walk stops once no target is pending. Its node count at that
+    point is the per-pair search's, so running out of budget names the
+    first pair whose own search would have run out.
+    """
+    found: dict[int, tuple[int, ...] | None] = dict.fromkeys(range(u + 1, len(adj)))
+    if block >> colors[u] & 1:
+        return found
+    pending = {v for v in found if not block >> colors[v] & 1}
+    nodes = 0
+    path = [u]
+    on_path = 1 << u
+
+    def dfs(w: int, used: int) -> bool:
+        nonlocal nodes, on_path
+        for x in adj[w]:
+            if x in pending:
+                pending.discard(x)
+                found[x] = (*path, x)
+        if not pending:
+            return True
+        for x in adj[w]:
+            if on_path >> x & 1:
+                continue
+            bit = 1 << colors[x]
+            if bit & (used | block):
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise SearchInconclusiveError(
+                    f"path search for pair ({u}, {min(pending)}) exceeded node budget {budget}"
+                )
+            path.append(x)
+            on_path |= 1 << x
+            if dfs(x, used | bit):
+                return True
+            path.pop()
+            on_path &= ~(1 << x)
+        return False
+
+    dfs(u, 0)
+    return found
 
 
 def _greedy_walk(
@@ -290,8 +346,9 @@ def verify_rainbow_vc(
     if store_witnesses:
         adj = [sorted(g.adj(w)) for w in range(g.n)]
         witnesses = {
-            (u, v): _dfs_path(g, adj, colors, u, v, block, budget)
-            for u, v in all_pairs(g.n)
+            (u, v): path
+            for u in range(g.n - 1)
+            for v, path in _witness_paths(adj, colors, u, block, budget).items()
         }
     return Certificate("verified", witnesses=witnesses)
 

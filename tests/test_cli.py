@@ -47,6 +47,16 @@ class TestColor:
         code, out, _ = run_cli(["color", path], capsys)
         assert code == 0 and "count 0" in out
 
+    def test_single_vertex_gets_the_complete_record(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "k1.txt", Graph(1))
+        code, out, _ = run_cli(["--format", "structured", "color", path], capsys)
+        assert code == 0
+        assert out.endswith("vertices 1\ncolors 0\ncount 0\nmethod complete\n")
+        code, out, _ = run_cli(["--format", "structured", "exact", path], capsys)
+        assert code == 0 and "count 0\n" in out
+        code, _, err = run_cli(["color", path, "--method", "blocks"], capsys)
+        assert code == 3 and "at least two vertices" in err
+
     def test_disconnected_is_precondition_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, "dis.txt", Graph(4, [(0, 1), (2, 3)]))
         code, _, err = run_cli(["color", path], capsys)

@@ -17,8 +17,125 @@ from rvc import (
     random_2connected,
     verify_rainbow_vc,
 )
+from rvc import oracle
+from rvc.graph import all_pairs
 
 from .conftest import random_connected_graph
+
+
+def reference_paths(g: Graph, u: int, v: int, max_internal: int) -> list[tuple[int, ...]]:
+    """All simple u-v paths with at most max_internal internal vertices, by
+    one depth-first search per pair over sorted neighbours: the oracle's
+    path table before it was built one source at a time."""
+    out: list[tuple[int, ...]] = []
+    path = [u]
+    on_path = {u}
+
+    def dfs(w: int):
+        for x in sorted(g.adj(w)):
+            if x == v:
+                out.append(tuple(path) + (v,))
+                continue
+            if x in on_path or len(path) - 1 >= max_internal:
+                continue
+            path.append(x)
+            on_path.add(x)
+            dfs(x)
+            path.pop()
+            on_path.remove(x)
+
+    dfs(u)
+    return out
+
+
+def reference_table(g: Graph, k: int) -> list[list[tuple[int, ...]]] | None:
+    """Per-pair path lists in `all_pairs` order, None when some pair has no
+    path short enough for k colors; raises as the table crosses
+    MAX_PATH_TABLE, whichever of the two comes first."""
+    table = []
+    total = 0
+    for u, v in all_pairs(g.n):
+        cand = reference_paths(g, u, v, k)
+        if not cand:
+            return None
+        total += sum(len(p) for p in cand)
+        if total > oracle.MAX_PATH_TABLE:
+            raise BudgetExceededError("path table too large; shrink the instance")
+        table.append(cand)
+    return table
+
+
+def table_graphs():
+    rng = random.Random(21)
+    for n in range(4, 13):
+        yield Graph.cycle(n)
+        for seed in range(2):
+            kind = "ears" if seed else "hamilton"
+            yield random_2connected(n, rng.randint(1, n // 3), seed=900 + n + seed, kind=kind)
+        if n <= 8:
+            yield random_connected_graph(rng, n)
+
+
+class TestPathTable:
+    """The per-source sweep against the per-pair reference enumerator."""
+
+    def test_lists_match_per_pair_search(self):
+        for g in table_graphs():
+            adj = [sorted(g.adj(w)) for w in range(g.n)]
+            for k in range(1, g.n - 1):
+                got = {}
+                for u in range(g.n - 1):
+                    lists, _ = oracle._paths_from(adj, u, k, g.n, oracle.MAX_PATH_TABLE)
+                    got.update(((u, v), lists[v]) for v in range(u + 1, g.n))
+                want = {(u, v): reference_paths(g, u, v, k) for u, v in all_pairs(g.n)}
+                assert got == want, (g, k)
+
+    def test_table_order_matches(self):
+        for g in table_graphs():
+            dist = oracle._distances(g)
+            for k in range(1, g.n - 1):
+                table = reference_table(g, k)
+                search = oracle._FixedKSearch(g, k, 10, dist)
+                assert search.feasible == (table is not None), (g, k)
+                if table is None:
+                    continue
+                paths = [p for cand in table for p in cand]
+                assert search.pair_of == [i for i, cand in enumerate(table) for _ in cand]
+                assert search.inc_internal == [
+                    [i for i, p in enumerate(paths) if w in p[1:-1]] for w in range(g.n)
+                ]
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run()
+        except BudgetExceededError as err:
+            return str(err)
+
+    def test_table_limit_and_far_pair_keep_their_precedence(self, monkeypatch):
+        # on P6 with k = 2 the first pair more than k + 1 apart is (0, 4);
+        # the pairs before it need 2 + 3 + 4 = 9 path vertices
+        g = Graph.path(6)
+        seen = set()
+        for limit in range(1, 40):
+            monkeypatch.setattr(oracle, "MAX_PATH_TABLE", limit)
+            want = self.outcome(lambda: reference_table(g, 2))
+            got = self.outcome(lambda: find_rainbow_coloring(g, 2))
+            assert got == want, limit
+            seen.add(want is None)
+        assert seen == {True, False}
+        monkeypatch.setattr(oracle, "MAX_PATH_TABLE", 8)
+        with pytest.raises(BudgetExceededError, match="path table too large"):
+            find_rainbow_coloring(g, 2)
+        monkeypatch.setattr(oracle, "MAX_PATH_TABLE", 9)
+        assert find_rainbow_coloring(g, 2) is None
+
+    def test_table_limit_without_far_pair(self, monkeypatch):
+        g = random_2connected(8, 2, seed=3)
+        monkeypatch.setattr(oracle, "MAX_PATH_TABLE", 60)
+        assert self.outcome(lambda: reference_table(g, 3)) == "path table too large; shrink the instance"
+        with pytest.raises(BudgetExceededError, match="path table too large"):
+            find_rainbow_coloring(g, 3)
 
 
 class TestExactValues:

@@ -12,12 +12,16 @@ from rvc import (
     PreconditionError,
     SearchInconclusiveError,
     color_stats,
+    cycle_coloring,
     exists_rainbow_path,
     has_color_avoiding_connectivity,
     is_rainbow_path,
+    random_2connected,
     serialize_certificate,
     verify_rainbow_vc,
 )
+from rvc.graph import all_pairs
+from rvc.verify import _dfs_path, _witness_paths
 
 from .conftest import naive_simple_paths, random_connected_graph
 
@@ -281,22 +285,73 @@ class TestCertificateSerialization:
         assert "witness 0 5 0 9 8 7 6 5\n" in text
         assert "witness 2 7 2 1 0 9 8 7\n" in text
 
-    def test_witnesses_match_per_pair_search(self):
+    @staticmethod
+    def witness_cases():
         rng = random.Random(12)
         checked = 0
         while checked < 40:
             g = random_connected_graph(rng, rng.randint(3, 8))
             colors = [rng.randrange(g.n) for _ in range(g.n)]
             forbidden = rng.choice([RAINBOW, max(colors) + 1])
+            if verify_rainbow_vc(g, colors, forbidden).verified:
+                checked += 1
+                yield g, colors, forbidden
+        # long one-sided walks, where the per-source sweep stops early
+        for n in range(30, 61):
+            colors = cycle_coloring(n).colors
+            yield Graph.cycle(n), colors, RAINBOW if n % 2 else max(colors) + 1
+
+    def test_witnesses_match_per_pair_search(self):
+        for g, colors, forbidden in self.witness_cases():
             cert = verify_rainbow_vc(g, colors, forbidden, store_witnesses=True)
-            if not cert.verified:
-                continue
+            assert cert.verified
             assert cert.witnesses == {
                 (u, v): exists_rainbow_path(g, colors, u, v, forbidden)
                 for u in range(g.n)
                 for v in range(u + 1, g.n)
             }
-            checked += 1
+
+    def test_witness_sweep_with_a_used_forbidden_color(self):
+        # a banned color that the coloring uses leaves some pairs without a
+        # path and makes some sources and targets unusable
+        for n in (30, 41, 60):
+            g = Graph.cycle(n)
+            colors = cycle_coloring(n).colors
+            adj = [sorted(g.adj(w)) for w in range(n)]
+            for forbidden in (0, colors[n // 2]):
+                block = 1 << forbidden
+                for u in range(n - 1):
+                    got = _witness_paths(adj, colors, u, block, 10**6)
+                    assert got == {
+                        v: _dfs_path(g, adj, colors, u, v, block, 10**6)
+                        for v in range(u + 1, n)
+                    }
+
+    def test_witness_budget_names_the_first_pair_to_run_out(self):
+        # budgets below the largest per-pair node count: 37 and 6
+        cases = [
+            (Graph.cycle(40), cycle_coloring(40).colors, (0, 1, 5, 17, 36)),
+            (
+                random_2connected(12, 4, seed=5, kind="ears"),
+                (0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 0, 2),
+                (0, 1, 2, 5),
+            ),
+        ]
+        for g, colors, budgets in cases:
+            adj = [sorted(g.adj(w)) for w in range(g.n)]
+            for budget in budgets:
+                expected = None
+                for u, v in all_pairs(g.n):
+                    try:
+                        _dfs_path(g, adj, colors, u, v, 0, budget)
+                    except SearchInconclusiveError as err:
+                        expected = str(err)
+                        break
+                assert expected is not None, budget
+                with pytest.raises(SearchInconclusiveError) as info:
+                    for u in range(g.n - 1):
+                        _witness_paths(adj, colors, u, 0, budget)
+                assert str(info.value) == expected
 
     def test_counterexample(self):
         cert = verify_rainbow_vc(Graph.cycle(7), [0, 0, 1, 0, 1, 0, 1])
