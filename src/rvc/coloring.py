@@ -623,7 +623,7 @@ def _two_connected_pipeline(g: Graph) -> tuple[Coloring, Certificate] | None:
     if any(e.length >= 5 for e in rest):
         # only possible when a budget-exhausted ear search broke monotonicity
         raise ConstructionError(
-            "ear lengths are not nonincreasing; rerun with a larger ear budget"
+            "the ear search ran out of its budget, so the ear lengths are not nonincreasing"
         )
     short_ears = [e for e in rest if 2 <= e.length <= 4]
     c_t = _balanced_chain(d.initial_cycle, long_ears)

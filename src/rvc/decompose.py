@@ -131,7 +131,10 @@ def _longest_ear_impl(
     Returns the longest ear, ties broken by lexicographically smallest
     vertex sequence. None when no ear exists. The node budget bounds path
     extensions; on exhaustion the best ear found so far carries the
-    heuristic flag, and exhaustion before any ear was found raises.
+    heuristic flag, and exhaustion before any ear was found raises. The
+    walk keeps one iterator over sorted neighbours per path vertex on an
+    explicit stack, so an ear's length is not bounded by the recursion
+    limit.
     """
     best: tuple[int, ...] | None = None
     nodes = 0
@@ -153,14 +156,10 @@ def _longest_ear_impl(
         # longer ears: descend through vertices outside h
         path = [a]
         on_path = {a}
-
-        def dfs(u: int):
-            nonlocal nodes, exhausted
-            if exhausted:
-                return
-            for w in sorted(g.adj(u)):
-                if exhausted:
-                    return
+        top = iter(sorted(g.adj(a)))
+        stack = [top]
+        while not exhausted:
+            for w in top:
                 if w in h_vertices:
                     # length-1 ears are handled by the chord loop above
                     if w != a and len(path) >= 2:
@@ -171,15 +170,18 @@ def _longest_ear_impl(
                 nodes += 1
                 if nodes > budget:
                     exhausted = True
-                    return
+                    break
                 path.append(w)
                 on_path.add(w)
-                dfs(w)
-                path.pop()
-                on_path.remove(w)
-
-        dfs(a)
-    dfs = None  # the recursive closure refers to itself; free its sets now
+                top = iter(sorted(g.adj(w)))
+                stack.append(top)
+                break
+            else:
+                stack.pop()
+                on_path.remove(path.pop())
+                if not stack:
+                    break
+                top = stack[-1]
     if best is None:
         if exhausted:
             raise BudgetExceededError(

@@ -56,14 +56,15 @@ def _paths_from(
     sweep goes on through v, so v's list holds the paths of a search for v
     alone, in that search's order. `room` is what the path table may still
     take, in path vertices: the sweep raises once it is used up, and
-    returns the lists with what is left.
+    returns the lists with what is left. The sweep keeps each path with its
+    vertex mask and neighbour iterator on an explicit stack.
     """
     lists: list[list[tuple[int, ...]]] = [[] for _ in adj]
-
-    def dfs(path: tuple[int, ...], on_path: int) -> None:
-        nonlocal room
+    stack = [((u,), 1 << u, iter(adj[u]))]
+    while stack:
+        path, on_path, it = stack[-1]
         deeper = len(path) <= max_internal
-        for x in adj[path[-1]]:
+        for x in it:
             if on_path >> x & 1:
                 continue
             p = path + (x,)
@@ -73,9 +74,10 @@ def _paths_from(
                 if room < 0:
                     raise BudgetExceededError("path table too large; shrink the instance")
             if deeper:
-                dfs(p, on_path | 1 << x)
-
-    dfs((u,), 1 << u)
+                stack.append((p, on_path | 1 << x, iter(adj[x])))
+                break
+        else:
+            stack.pop()
     return lists, room
 
 

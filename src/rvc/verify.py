@@ -18,9 +18,12 @@ to an exact breadth-first search over states (vertex, internal colors used
 so far): the colorful-path dynamic program of color-coding (Alon, Yuster,
 Zwick, J. ACM 1995), exponential only in the number of colors, as deciding
 rainbow vertex-connectivity is NP-complete (Chen, Li, Shi, TCS 2011).
-Single-pair witnesses come from exhaustive depth-first search over simple
-paths. Absence of a path is claimed only by the exact search; running out
-of node budget raises instead of claiming absence.
+Witness paths come from one exhaustive depth-first walk over simple paths
+per source, which hands each pending target the path it stands next to;
+`exists_rainbow_path` is that walk with a single target. The walk keeps
+its state on an explicit stack, so long paths do not meet the recursion
+limit. Absence of a path is claimed only by an exhaustive search; running
+out of node budget raises instead of claiming absence.
 """
 
 from __future__ import annotations
@@ -103,7 +106,8 @@ def exists_rainbow_path(
     """Some qualifying simple path from u to v, or None after exhaustive search.
 
     Deterministic: at every step the direct edge to the target is tried
-    first, then neighbors in ascending id order.
+    first, then neighbors in ascending id order. This is the walk that
+    `verify_rainbow_vc` runs for its witnesses, with v as the only target.
     """
     if u == v:
         raise PreconditionError("exists_rainbow_path requires distinct endpoints")
@@ -111,108 +115,72 @@ def exists_rainbow_path(
     budget = node_budget if node_budget is not None else node_budget_default()
     block = 0 if forbidden is None else 1 << forbidden
     adj = [sorted(g.adj(w)) for w in range(g.n)]
-    return _dfs_path(g, adj, colors, u, v, block, budget)
-
-
-def _dfs_path(
-    g: Graph,
-    adj: list[list[int]],
-    colors: Sequence[int],
-    u: int,
-    v: int,
-    block: int,
-    budget: int,
-) -> tuple[int, ...] | None:
-    """First qualifying u-v path of `exists_rainbow_path`'s search order over
-    the sorted adjacency `adj`; `block` bans colors everywhere."""
-    if block >> colors[u] & 1 or block >> colors[v] & 1:
-        return None
-    nodes = 0
-    path = [u]
-    on_path = 1 << u
-
-    def dfs(w: int, used: int) -> bool:
-        nonlocal nodes, on_path
-        if v in g.adj(w):
-            return True
-        for x in adj[w]:
-            if on_path >> x & 1:
-                continue
-            cx = colors[x]
-            bit = 1 << cx
-            if bit & (used | block):
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchInconclusiveError(
-                    f"path search for pair ({u}, {v}) exceeded node budget {budget}"
-                )
-            path.append(x)
-            on_path |= 1 << x
-            if dfs(x, used | bit):
-                return True
-            path.pop()
-            on_path &= ~(1 << x)
-        return False
-
-    if dfs(u, 0):
-        return tuple(path) + (v,)
-    return None
+    return _witness_paths(adj, colors, u, (v,), block, budget)[v]
 
 
 def _witness_paths(
     adj: list[list[int]],
     colors: Sequence[int],
     u: int,
+    targets: Sequence[int],
     block: int,
     budget: int,
 ) -> dict[int, tuple[int, ...] | None]:
-    """`_dfs_path`'s path from u to every v > u, from one depth-first walk in
-    its order.
+    """The first qualifying path from u to each of `targets`, or None, from
+    one depth-first walk over the sorted adjacency `adj`; `block` bans
+    colors everywhere.
 
-    Without a target the walk visits nodes in the order every `_dfs_path`
-    search from u does, up to the first node adjacent to its target v, where
-    that search stops with the walk's current path. So v is resolved there,
-    and the walk stops once no target is pending. Its node count at that
-    point is the per-pair search's, so running out of budget names the
-    first pair whose own search would have run out.
+    The walk visits nodes in the order a search for one target v alone
+    does: at each node it first resolves every pending target adjacent to
+    it with the current path, then descends through neighbours in
+    ascending id order. A search for v alone stops at the first node
+    adjacent to v, where v is resolved, so its path is the walk's. The walk
+    stops once no target is pending. Its node count is, at every point, what
+    the one-target search for each pending target has spent, so running out
+    of budget names the smallest pending target, whose own search runs out
+    there too. The path's neighbour iterators live on an explicit stack, so
+    path length is not bounded by the recursion limit.
     """
-    found: dict[int, tuple[int, ...] | None] = dict.fromkeys(range(u + 1, len(adj)))
+    found: dict[int, tuple[int, ...] | None] = dict.fromkeys(targets)
     if block >> colors[u] & 1:
         return found
     pending = {v for v in found if not block >> colors[v] & 1}
     nodes = 0
-    path = [u]
-    on_path = 1 << u
-
-    def dfs(w: int, used: int) -> bool:
-        nonlocal nodes, on_path
-        for x in adj[w]:
-            if x in pending:
-                pending.discard(x)
-                found[x] = (*path, x)
+    path: list[int] = []
+    on_path = 0
+    stack = []
+    x, used = u, 0
+    while x >= 0:
+        # enter x: the walk's path now ends there
+        path.append(x)
+        on_path |= 1 << x
+        for y in adj[x]:
+            if y in pending:
+                pending.discard(y)
+                found[y] = (*path, y)
         if not pending:
-            return True
-        for x in adj[w]:
-            if on_path >> x & 1:
-                continue
-            bit = 1 << colors[x]
-            if bit & (used | block):
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchInconclusiveError(
-                    f"path search for pair ({u}, {min(pending)}) exceeded node budget {budget}"
-                )
-            path.append(x)
-            on_path |= 1 << x
-            if dfs(x, used | bit):
-                return True
-            path.pop()
-            on_path &= ~(1 << x)
-        return False
-
-    dfs(u, 0)
+            break
+        stack.append((iter(adj[x]), used))
+        # find the next vertex to enter, backing up where none is left
+        x = -1
+        while stack and x < 0:
+            it, used = stack[-1]
+            for y in it:
+                if on_path >> y & 1:
+                    continue
+                bit = 1 << colors[y]
+                if bit & (used | block):
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise SearchInconclusiveError(
+                        f"path search for pair ({u}, {min(pending)}) exceeded node budget {budget}"
+                    )
+                x, used = y, used | bit
+                break
+            else:
+                stack.pop()
+                on_path ^= 1 << path.pop()
     return found
 
 
@@ -348,7 +316,9 @@ def verify_rainbow_vc(
         witnesses = {
             (u, v): path
             for u in range(g.n - 1)
-            for v, path in _witness_paths(adj, colors, u, block, budget).items()
+            for v, path in _witness_paths(
+                adj, colors, u, range(u + 1, g.n), block, budget
+            ).items()
         }
     return Certificate("verified", witnesses=witnesses)
 

@@ -222,6 +222,35 @@ class TestExact:
         assert code == 3 and "budget" in err
 
 
+def long_theta(interior: int = 1100) -> Graph:
+    """Two 2-interior paths and one `interior`-vertex path between 0 and 1."""
+    long = [0, *range(6, 6 + interior), 1]
+    edges = [(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1), *zip(long, long[1:])]
+    return Graph(6 + interior, edges)
+
+
+class TestLongEar:
+    """An ear longer than the default recursion limit, at that limit."""
+
+    def test_decompose_ears(self, tmp_path, capsys):
+        g = long_theta()
+        path = write_graph(tmp_path, "theta.txt", g)
+        code, out, _ = run_cli(["--format", "structured", "decompose", path, "--ears"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        cycle = [int(x) for ln in lines if ln.startswith("cycle ") for x in ln.split()[1:]]
+        ears = [[int(x) for x in ln.split()[1:-2]] for ln in lines if ln.startswith("ear ")]
+        assert len(ears) == 1 and len(ears[0]) - 1 == 1101
+        edges = {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+        edges |= {frozenset(e) for e in zip(ears[0], ears[0][1:])}
+        assert edges == {frozenset(e) for e in g.edges}
+
+    def test_color(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "theta.txt", long_theta())
+        code, out, _ = run_cli(["--format", "structured", "color", path], capsys)
+        assert code == 0 and "count 553\n" in out
+
+
 class TestDecompose:
     def test_theta_ears(self, tmp_path, capsys):
         from rvc import attach_ear

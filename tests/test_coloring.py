@@ -280,6 +280,24 @@ class TestTwoConnected:
         assert verify_rainbow_vc(g, c).verified
         assert c.reported_count <= (g.n + 1) // 2
 
+    def test_ear_lengths_out_of_order_name_the_ear_budget(self, monkeypatch):
+        # a long ear after a short one happens only when the ear search ran
+        # out of budget and returned a shorter ear first
+        from rvc import coloring
+
+        g, _ = attach_ear(Graph.cycle(16), 0, 8, 1)
+        g, _ = attach_ear(g, 2, 12, 4)
+        d = EarDecomposition(
+            tuple(range(16)),
+            (Ear((0, 16, 8), heuristic=True), Ear((2, 17, 18, 19, 20, 12))),
+        )
+        monkeypatch.setattr(coloring, "ear_decomposition", lambda _g: d)
+        with pytest.raises(ConstructionError) as info:
+            two_connected_coloring(g)
+        assert str(info.value) == (
+            "the ear search ran out of its budget, so the ear lengths are not nonincreasing"
+        )
+
     def test_bound_on_seeded_graphs(self):
         rng = random.Random(11)
         for i in range(25):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rvc import (
+    BudgetExceededError,
     Ear,
     EarDecomposition,
     Graph,
@@ -16,6 +17,7 @@ from rvc import (
     random_2connected,
     serialize_decomposition,
 )
+from rvc.decompose import _cycle_edges, _dfs_cycle, _longest_ear_impl, _norm
 
 
 def cycle_edges(seq):
@@ -40,6 +42,73 @@ def brute_force_ears(g: Graph, h_vertices, h_edges):
                 if all(g.has_edge(x, y) for x, y in zip(path, path[1:])):
                     ears.append(path)
     return ears
+
+
+def reference_longest_ear(g: Graph, h_vertices, h_edges, budget: int) -> Ear | None:
+    """`_longest_ear_impl` as a recursive depth-first search, one call per
+    path vertex: the ear search before its walk kept an explicit stack."""
+    best = None
+    nodes = 0
+    exhausted = False
+
+    def consider(path):
+        nonlocal best
+        if best is None:
+            best = path
+            return
+        if len(path) > len(best) or (len(path) == len(best) and path < best):
+            best = path
+
+    for a in sorted(h_vertices):
+        for b in sorted(g.adj(a)):
+            if b in h_vertices and b != a and _norm(a, b) not in h_edges:
+                consider((a, b))
+        path = [a]
+        on_path = {a}
+
+        def dfs(u: int):
+            nonlocal nodes, exhausted
+            if exhausted:
+                return
+            for w in sorted(g.adj(u)):
+                if exhausted:
+                    return
+                if w in h_vertices:
+                    if w != a and len(path) >= 2:
+                        consider(tuple(path) + (w,))
+                    continue
+                if w in on_path:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    exhausted = True
+                    return
+                path.append(w)
+                on_path.add(w)
+                dfs(w)
+                path.pop()
+                on_path.remove(w)
+
+        dfs(a)
+    if best is None:
+        if exhausted:
+            raise BudgetExceededError("ear search budget exhausted before any ear was found")
+        return None
+    return Ear(best, heuristic=exhausted)
+
+
+def ear_search_hosts(g: Graph):
+    """Every host an ear search meets while decomposing g: the depth-first
+    cycle, then each prefix of the decomposition."""
+    cyc = _dfs_cycle(g)
+    yield set(cyc), set(_cycle_edges(cyc))
+    d = ear_decomposition(g)
+    covered_v = set(d.initial_cycle)
+    covered_e = set(_cycle_edges(d.initial_cycle))
+    for ear in d.ears:
+        yield set(covered_v), set(covered_e)
+        covered_v.update(ear.path)
+        covered_e.update((min(x, y), max(x, y)) for x, y in zip(ear.path, ear.path[1:]))
 
 
 class TestInitialCycle:
@@ -153,6 +222,48 @@ class TestLongestEar:
         g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (5, 6), (2, 6)])
         with pytest.raises(BudgetExceededError):
             ear_decomposition(g, budget=1)
+
+
+class TestEarSearchReference:
+    """The explicit-stack ear search against the recursive reference."""
+
+    @staticmethod
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except BudgetExceededError as err:
+            return str(err)
+
+    def test_every_budget_matches(self):
+        # budgets from 1 up to the search's full node count, where the
+        # reference first finishes; past it the ear no longer changes
+        rng = random.Random(17)
+        hosts = 0
+        for i in range(30):
+            n = rng.randint(5, 12)
+            g = random_2connected(n, rng.randint(1, n // 2), seed=300 + i,
+                                  kind=rng.choice(["hamilton", "ears"]))
+            for h_vertices, h_edges in ear_search_hosts(g):
+                hosts += 1
+                budget = 0
+                while True:
+                    budget += 1
+                    want = self.outcome(reference_longest_ear, g, h_vertices, h_edges, budget)
+                    got = self.outcome(_longest_ear_impl, g, h_vertices, h_edges, budget)
+                    assert got == want, (g, sorted(h_vertices), budget)
+                    if not isinstance(want, str) and not (want and want.heuristic):
+                        break
+        assert hosts > 30
+
+    def test_unbudgeted_search_matches(self):
+        rng = random.Random(18)
+        for i in range(20):
+            n = rng.randint(8, 16)
+            g = random_2connected(n, rng.randint(0, n // 2), seed=400 + i,
+                                  kind=rng.choice(["hamilton", "ears"]))
+            for h_vertices, h_edges in ear_search_hosts(g):
+                want = reference_longest_ear(g, h_vertices, h_edges, 10**6)
+                assert _longest_ear_impl(g, h_vertices, h_edges, 10**6) == want
 
 
 class TestEarDecomposition:

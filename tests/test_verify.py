@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,50 @@ from rvc import (
     serialize_certificate,
     verify_rainbow_vc,
 )
+from rvc import decompose, oracle
 from rvc.graph import all_pairs
-from rvc.verify import _dfs_path, _witness_paths
+from rvc.verify import _witness_paths
 
 from .conftest import naive_simple_paths, random_connected_graph
+
+
+def reference_dfs_path(g, adj, colors, u, v, block, budget):
+    """First qualifying u-v path by a recursive depth-first search for v
+    alone over the sorted adjacency `adj`, `block` banning colors
+    everywhere: `exists_rainbow_path` before it became a one-target call of
+    the witness walk. Recurses once per path vertex."""
+    if block >> colors[u] & 1 or block >> colors[v] & 1:
+        return None
+    nodes = 0
+    path = [u]
+    on_path = 1 << u
+
+    def dfs(w: int, used: int) -> bool:
+        nonlocal nodes, on_path
+        if v in g.adj(w):
+            return True
+        for x in adj[w]:
+            if on_path >> x & 1:
+                continue
+            bit = 1 << colors[x]
+            if bit & (used | block):
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise SearchInconclusiveError(
+                    f"path search for pair ({u}, {v}) exceeded node budget {budget}"
+                )
+            path.append(x)
+            on_path |= 1 << x
+            if dfs(x, used | bit):
+                return True
+            path.pop()
+            on_path &= ~(1 << x)
+        return False
+
+    if dfs(u, 0):
+        return tuple(path) + (v,)
+    return None
 
 
 class TestPathPredicate:
@@ -88,6 +130,31 @@ class TestExistsPath:
     def test_rejects_equal_endpoints(self):
         with pytest.raises(PreconditionError):
             exists_rainbow_path(Graph.cycle(3), [0, 1, 2], 1, 1)
+
+    def test_matches_recursive_reference(self):
+        # same path, or the same budget message, as the recursive search
+        rng = random.Random(13)
+        for _ in range(120):
+            g = random_connected_graph(rng, rng.randint(3, 8))
+            colors = [rng.randrange(rng.randint(1, g.n)) for _ in range(g.n)]
+            forbidden = rng.choice([RAINBOW, 0, 1])
+            block = 0 if forbidden is None else 1 << forbidden
+            adj = [sorted(g.adj(w)) for w in range(g.n)]
+            budget = rng.choice([1, 3, 10, 10**6])
+            for u in range(g.n):
+                for v in range(g.n):
+                    if u == v:
+                        continue
+                    outcomes = []
+                    for search in (
+                        lambda: exists_rainbow_path(g, colors, u, v, forbidden, budget),
+                        lambda: reference_dfs_path(g, adj, colors, u, v, block, budget),
+                    ):
+                        try:
+                            outcomes.append(search())
+                        except SearchInconclusiveError as err:
+                            outcomes.append(str(err))
+                    assert outcomes[0] == outcomes[1], (g, colors, u, v)
 
     def test_matches_naive_enumeration(self):
         rng = random.Random(6)
@@ -321,9 +388,9 @@ class TestCertificateSerialization:
             for forbidden in (0, colors[n // 2]):
                 block = 1 << forbidden
                 for u in range(n - 1):
-                    got = _witness_paths(adj, colors, u, block, 10**6)
+                    got = _witness_paths(adj, colors, u, range(u + 1, n), block, 10**6)
                     assert got == {
-                        v: _dfs_path(g, adj, colors, u, v, block, 10**6)
+                        v: reference_dfs_path(g, adj, colors, u, v, block, 10**6)
                         for v in range(u + 1, n)
                     }
 
@@ -343,20 +410,76 @@ class TestCertificateSerialization:
                 expected = None
                 for u, v in all_pairs(g.n):
                     try:
-                        _dfs_path(g, adj, colors, u, v, 0, budget)
+                        reference_dfs_path(g, adj, colors, u, v, 0, budget)
                     except SearchInconclusiveError as err:
                         expected = str(err)
                         break
                 assert expected is not None, budget
                 with pytest.raises(SearchInconclusiveError) as info:
                     for u in range(g.n - 1):
-                        _witness_paths(adj, colors, u, 0, budget)
+                        _witness_paths(adj, colors, u, range(u + 1, g.n), 0, budget)
                 assert str(info.value) == expected
 
     def test_counterexample(self):
         cert = verify_rainbow_vc(Graph.cycle(7), [0, 0, 1, 0, 1, 0, 1])
         text = serialize_certificate(cert)
         assert "status counterexample" in text and "failing" in text
+
+
+class TestDeepWalks:
+    """Paths longer than the default recursion limit."""
+
+    def test_c2100_single_pair(self):
+        g = Graph.cycle(2100)
+        colors = cycle_coloring(2100).colors
+        path = exists_rainbow_path(g, colors, 0, 1000)
+        assert path == tuple(range(1001))
+        assert is_rainbow_path(path, colors)
+
+    def test_c2100_witness_walk_matches_reference(self):
+        # the walk covers every target; the recursive reference checks a
+        # sample, both arcs and where the walk turns back
+        n = 2100
+        g = Graph.cycle(n)
+        colors = cycle_coloring(n).colors
+        adj = [sorted(g.adj(w)) for w in range(n)]
+        got = _witness_paths(adj, colors, 0, range(1, n), 0, 10**7)
+        assert None not in got.values()
+        sample = sorted({*range(1, n, 50), 1048, 1049, 1050, 1051, 1052, n - 1})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 5000))
+        try:
+            want = {v: reference_dfs_path(g, adj, colors, 0, v, 0, 10**7) for v in sample}
+        finally:
+            sys.setrecursionlimit(limit)
+        assert {v: got[v] for v in sample} == want
+
+    def test_walks_leave_no_cyclic_garbage(self):
+        # reference counting alone frees everything a walk allocates
+        g = Graph.cycle(16)
+        adj = [sorted(g.adj(w)) for w in range(g.n)]
+        colors = cycle_coloring(16).colors
+        h = random_2connected(12, 4, seed=5, kind="ears")
+        cyc = decompose._dfs_cycle(h)
+        walks = {
+            "_paths_from": lambda: [
+                oracle._paths_from(adj, u, 8, g.n, oracle.MAX_PATH_TABLE) for u in range(15)
+            ],
+            "_witness_paths": lambda: [
+                _witness_paths(adj, colors, u, range(u + 1, g.n), 0, 10**6) for u in range(15)
+            ],
+            "_longest_ear_impl": lambda: decompose._longest_ear_impl(
+                h, set(cyc), set(decompose._cycle_edges(cyc)), 10**6
+            ),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            for name, walk in walks.items():
+                walk()
+                assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
 
 @given(st.integers(4, 9))
