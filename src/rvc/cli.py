@@ -223,9 +223,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-REVISED_HELP = "accepted for compatibility; the revised predicate is the rainbow one"
-
-
 @functools.cache  # built on the first call of main, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -253,14 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a coloring file against a graph")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("coloring", help="coloring record file")
-    p.add_argument("--revised", action="store_true", help=REVISED_HELP)
     p.add_argument("--witnesses", action="store_true", help="include witness paths in the record")
     p.add_argument("--node-budget")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exact", help="exact minimum via exhaustive search (small graphs)")
     p.add_argument("input", help="edge-list file")
-    p.add_argument("--revised", action="store_true", help=REVISED_HELP)
     p.add_argument("--max-n", type=int, default=SearchBudget().max_vertices,
                    help="vertex-count budget override")
     p.add_argument("--node-budget")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, PreconditionError
-from .graph import Graph, is_2_connected
+from .graph import Graph, _norm_edge as _norm, is_2_connected
 
 DEFAULT_EAR_BUDGET = 500_000
 
@@ -69,10 +69,6 @@ class EarDecomposition:
         for ear in self.ears:
             edges.update(_path_edges(ear.path))
         return edges
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def _path_edges(path: tuple[int, ...]) -> list[tuple[int, int]]:

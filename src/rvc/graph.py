@@ -1,8 +1,7 @@
 """Simple undirected graphs and classical structure queries.
 
 Vertices are dense 0-based integers. Graphs are immutable after
-construction and safe to share across workers; every operation here is a
-pure function of its inputs.
+construction, and every operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """Finite, undirected, simple graph with adjacency-set representation."""
+    """Finite, undirected, simple graph, stored as one frozenset of
+    neighbours per vertex plus the set of normalized edges. Walks that
+    need a fixed visiting order sort `adj(u)` themselves."""
 
     __slots__ = ("n", "_adj", "_edges")
 

@@ -1,7 +1,9 @@
+import importlib.util
 import io
 import os
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,12 +144,16 @@ class TestVerify:
         code, _, err = run_cli(["verify", g, str(coloring_path)], capsys)
         assert code == 2
 
-    def test_revised_flag(self, tmp_path, capsys):
+    def test_revised_flag_is_rejected(self, tmp_path, capsys):
+        # the flag changed nothing and is gone from both commands
         g = write_graph(tmp_path, "c6.txt", Graph.cycle(6))
         coloring_path = tmp_path / "c.txt"
         coloring_path.write_text("colors 0 1 2 0 1 2\n")
-        code, out, _ = run_cli(["verify", g, str(coloring_path), "--revised"], capsys)
-        assert code == 0
+        for argv in (["verify", g, str(coloring_path), "--revised"], ["exact", g, "--revised"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert "unrecognized arguments: --revised" in capsys.readouterr().err
 
     def test_node_budget_env_var(self, tmp_path, capsys, monkeypatch):
         g = write_graph(tmp_path, "p8.txt", Graph.path(8))
@@ -177,22 +183,6 @@ class TestVerify:
         assert code == 3 and "--node-budget" in err
         code, _, err = run_cli(["exact", g, "--node-budget", value], capsys)
         assert code == 3 and "--node-budget" in err
-
-    def test_revised_is_an_alias(self, tmp_path, capsys):
-        g = write_graph(tmp_path, "c7.txt", Graph.cycle(7))
-        good = tmp_path / "good.txt"
-        good.write_text("colors 0 0 0 1 0 2 1\n")
-        bad = tmp_path / "bad.txt"
-        bad.write_text("colors 0 0 1 0 1 0 1\n")
-        for argv in (
-            ["verify", g, str(good)],
-            ["verify", g, str(good), "--witnesses"],
-            ["verify", g, str(bad)],
-            ["exact", g],
-        ):
-            plain = run_cli(["--format", "structured", *argv], capsys)
-            revised = run_cli(["--format", "structured", *argv, "--revised"], capsys)
-            assert plain == revised
 
 
 class TestExact:
@@ -305,3 +295,27 @@ class TestDeterminism:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(["color", "/nonexistent/graph.txt"], capsys)
         assert code == 2
+
+
+# tools/contract_digest.py's report: per command family, the case count, a
+# sha256 over every case's argv, exit code and structured output, and the
+# exit-code counts. A change that declares a contract change updates it.
+CONTRACT_DIGEST = [
+    "color cases=50 sha256=7e71dfd0c132fa4c390870afe20ea2946a4910d73e1778badc3bcf6972bb8edb exit0=50",
+    "decompose cases=98 sha256=e71f8c3e38e285f879f7659024cc614a1a8dff4d1e6fe383d29076c65113b4fc exit0=83 exit3=15",
+    "verify cases=295 sha256=dbd2c2fc91d8eead83d39359a07e0b457213ea2b9073790caec8151c7794cacf exit0=190 exit1=67 exit5=38",
+    "exact cases=42 sha256=d7ed651db8a917c36bf2a08381b0fd48489bb898692cf1a4ca1679b8463e0399 exit0=40 exit3=2",
+    "table cases=2 sha256=67e718ea449a2b78583d576cbbe8d46cd45b68ddb067caf4add892ed65dab69e exit0=2",
+]
+
+
+def test_contract_digest_is_pinned(tmp_path, capsys, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "tools" / "contract_digest.py"
+    spec = importlib.util.spec_from_file_location("contract_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    monkeypatch.delenv("RVC_NODE_BUDGET", raising=False)
+    runner = digest.Runner(main, tmp_path, per_case=False)
+    digest.run_all(runner)
+    runner.report()
+    assert capsys.readouterr().out.splitlines() == CONTRACT_DIGEST
