@@ -104,45 +104,18 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _is_cycle(g: Graph) -> bool:
-    return g.n >= 3 and g.m == g.n and all(g.degree(v) == 2 for v in g.vertices())
-
-
 def cmd_color(args) -> int:
     g = _read_graph(args.input)
     if not is_connected(g):
         print("error: coloring requires a connected graph", file=sys.stderr)
         return EXIT_PRECONDITION
-    method = args.method
-    if method == "auto":
-        if _is_cycle(g):
-            method = "cycle"
-        elif is_2_connected(g):
-            method = "two-connected"
-        elif g.n >= 2:
-            method = "blocks"
-        else:
-            method = "complete"  # no pair of vertices to connect, so no blocks either
     t0 = time.perf_counter()
-    if method == "cycle":
-        if not _is_cycle(g):
-            print("error: --method cycle requires a cycle graph", file=sys.stderr)
-            return EXIT_PRECONDITION
-        coloring, cert = _two_connected_certified(g)  # maps the cycle pattern onto g's order
-    elif method == "two-connected":
-        if not is_2_connected(g):
-            print("error: --method two-connected requires a 2-connected graph", file=sys.stderr)
-            return EXIT_PRECONDITION
-        coloring, cert = _two_connected_certified(g)
-    elif method == "blocks":
-        if g.n < 2:
-            print("error: --method blocks requires at least two vertices", file=sys.stderr)
-            return EXIT_PRECONDITION
-        coloring, cert = _block_certified(g)
-    elif method == "complete":
+    if g.n < 2:  # no pair of vertices to connect, so no blocks either
         coloring, cert = Coloring((0,) * g.n, reported_count=0, method="complete"), None
+    elif is_2_connected(g):
+        coloring, cert = _two_connected_certified(g)  # maps the cycle pattern onto g's order
     else:
-        raise AssertionError(method)
+        coloring, cert = _block_certified(g)
     if cert is None:  # the construction did not verify its result on g
         cert = verify_rainbow_vc(g, coloring)
     elapsed = time.perf_counter() - t0
@@ -204,8 +177,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_table(args) -> int:
-    budget = SearchBudget(max_vertices=args.max_exact_n)
-    rows = cycle_reference_table(args.max_exact_n, args.max_n, budget)
+    rows = cycle_reference_table(args.max_exact_n, args.max_n)
     _echo(args, sys.stdout)
     print("n constructed exact closed_form")
     bad = None
@@ -244,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="construct a rainbow vertex-coloring")
     p.add_argument("input", help="edge-list file")
-    p.add_argument("--method", choices=("auto", "cycle", "two-connected", "blocks"), default="auto")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")

@@ -38,9 +38,6 @@ class Coloring:
     def n(self) -> int:
         return len(self.colors)
 
-    def distinct(self) -> int:
-        return len(set(self.colors))
-
 
 def serialize_coloring(c: Coloring) -> str:
     """Structured record: vertex count, color array, count, provenance tag."""
@@ -647,9 +644,9 @@ def block_coloring(g: Graph) -> Coloring:
     """Rainbow vertex-coloring of a connected graph, one palette per
     non-complete block plus fresh distinct colors on the cut vertices.
 
-    Complete blocks reuse a color from the first non-complete block's
-    palette; when every block is complete the cut vertices' colors and one
-    shared color suffice.
+    Palettes are laid side by side from color 0. The vertices of complete
+    blocks that are not cut vertices keep color 0; when every block is
+    complete, that is the color of the first cut vertex.
     """
     return _block_certified(g)[0]
 
@@ -664,40 +661,18 @@ def _block_certified(g: Graph) -> tuple[Coloring, Certificate | None]:
     if g.is_complete():
         return Coloring((0,) * g.n, reported_count=0, method="complete"), None
     bd = block_decomposition(g)
-    cuts = sorted(bd.cut_vertices)
     flat = [0] * g.n
-
-    block_graphs = []
-    any_noncomplete = False
+    offset = 0
     for block in bd.blocks:
         sub, back = g.induced(block)
-        complete = sub.is_complete()
-        any_noncomplete = any_noncomplete or not complete
-        block_graphs.append((sub, back, complete))
-
-    if not any_noncomplete:
-        # cut vertices distinct, everything else shares the first cut color
-        for i, v in enumerate(cuts):
-            flat[v] = i
-    else:
-        offset = 0
-        reuse_color: int | None = None
-        for sub, back, complete in block_graphs:
-            if complete:
-                continue
-            sub_coloring = two_connected_coloring(sub)
-            if reuse_color is None:
-                reuse_color = offset  # a color that appears in the first palette
-            for new_id, col in enumerate(sub_coloring.colors):
-                flat[back[new_id]] = col + offset
-            offset += max(sub_coloring.colors) + 1
-        for sub, back, complete in block_graphs:
-            if not complete:
-                continue
-            for new_id in range(sub.n):
-                flat[back[new_id]] = reuse_color
-        for i, v in enumerate(cuts):
-            flat[v] = offset + i
+        if sub.is_complete():
+            continue
+        sub_coloring = two_connected_coloring(sub)
+        for new_id, col in enumerate(sub_coloring.colors):
+            flat[back[new_id]] = col + offset
+        offset += max(sub_coloring.colors) + 1
+    for i, v in enumerate(sorted(bd.cut_vertices)):
+        flat[v] = offset + i
 
     coloring = Coloring(tuple(flat), reported_count=len(set(flat)), method="blocks")
     cert = verify_rainbow_vc(g, coloring.colors)

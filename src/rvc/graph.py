@@ -65,10 +65,6 @@ class Graph:
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
-    def without_edge(self, u: int, v: int) -> "Graph":
-        e = _norm_edge(u, v)
-        return Graph(self.n, self._edges - {e})
-
     def with_edge(self, u: int, v: int) -> "Graph":
         return Graph(self.n, self._edges | {_norm_edge(u, v)})
 
@@ -315,22 +311,6 @@ def is_2_connected(g: Graph) -> bool:
         return False
     _, cuts = _block_dfs(g)
     return not cuts
-
-
-def minimal_2connected_spanning(g: Graph) -> Graph:
-    """Spanning 2-connected subgraph where removing any edge breaks 2-connectivity.
-
-    Greedy deletion in lexicographic edge order, re-testing after each
-    tentative removal, so the output is reproducible.
-    """
-    if not is_2_connected(g):
-        raise PreconditionError("minimal_2connected_spanning requires a 2-connected graph")
-    current = g
-    for u, v in sorted(g.edges):
-        candidate = current.without_edge(u, v)
-        if is_2_connected(candidate):
-            current = candidate
-    return current
 
 
 def all_pairs(n: int) -> Iterator[tuple[int, int]]:

@@ -166,7 +166,12 @@ class _FixedKSearch:
     def run(self) -> list[int] | None:
         if not self.feasible:
             return None
-        return self._rec(0, 0)
+        try:
+            return self._rec(0, 0)
+        except RecursionError:  # _rec goes one call deeper per vertex
+            raise BudgetExceededError(
+                f"exact search on {self.g.n} vertices exceeds the recursion limit"
+            ) from None
 
     def _rec(self, idx: int, used: int) -> list[int] | None:
         n = self.g.n
@@ -276,14 +281,15 @@ class TableRow:
 def cycle_reference_table(
     max_exact_n: int = 11,
     max_n: int = 30,
-    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> list[TableRow]:
-    """Cycle rvc values three ways: constructed, exact (small n), closed form.
+    """Cycle rvc values three ways: constructed, exact (n <= max_exact_n),
+    closed form.
 
     The constructed coloring is re-verified for every row.
     """
     from .coloring import cycle_coloring, cycle_rvc_value
 
+    budget = SearchBudget(max_vertices=max_exact_n)
     rows = []
     for n in range(3, max_n + 1):
         c = cycle_coloring(n)

@@ -3,9 +3,12 @@
 A rainbow path has pairwise-distinct colors on its internal vertices; its
 end vertices are exempt, so in particular the two ends may share a color.
 The "revised" reading (all vertices distinct, or all but the ends) is the
-same predicate, so `REVISED` is kept only as an alias of `RAINBOW`. Every
-search takes an optional forbidden color, banned on every vertex of the
-path, ends included.
+same predicate, so `REVISED` is kept only as an alias of `None`, the
+forbidden color that bans nothing. Every search takes an optional
+forbidden color, banned on every vertex of the path, ends included. The
+searches renumber the colors by first appearance before they start, so
+their masks grow with the number of colors in use, not with the color
+values.
 
 All-pairs verification and color-avoiding reachability work once per
 source u. Two greedy passes certify most targets in linear time: a
@@ -56,9 +59,7 @@ def node_budget_default(default: int = DEFAULT_NODE_BUDGET) -> int:
     return parse_node_budget(env, "RVC_NODE_BUDGET") if env else default
 
 
-# the forbidden-color argument of the path searches: no color is banned
-RAINBOW = None
-REVISED = None  # the revised predicate is the rainbow one; kept as an alias
+REVISED = None  # the revised predicate is the rainbow one: no color is banned
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,18 @@ class ColorStats:
 
 def _colors_of(c) -> Sequence[int]:
     return getattr(c, "colors", c)
+
+
+def _dense_colors(colors: Sequence[int], forbidden: int | None) -> tuple[list[int], int]:
+    """`colors` renumbered 0, 1, ... by first appearance, and the mask bit
+    of `forbidden` in that numbering (0 when no vertex carries it).
+
+    The renumbering is a bijection, so a search over it gives the same
+    verdicts, witnesses and node counts as one over the original values.
+    """
+    ids: dict[int, int] = {}
+    dense = [ids.setdefault(col, len(ids)) for col in colors]
+    return dense, (1 << ids[forbidden] if forbidden in ids else 0)
 
 
 def is_rainbow_path(path: Sequence[int], c, forbidden: int | None = None) -> bool:
@@ -111,9 +124,8 @@ def exists_rainbow_path(
     """
     if u == v:
         raise PreconditionError("exists_rainbow_path requires distinct endpoints")
-    colors = _colors_of(c)
+    colors, block = _dense_colors(_colors_of(c), forbidden)
     budget = node_budget if node_budget is not None else node_budget_default()
-    block = 0 if forbidden is None else 1 << forbidden
     adj = [sorted(g.adj(w)) for w in range(g.n)]
     return _witness_paths(adj, colors, u, (v,), block, budget)[v]
 
@@ -299,13 +311,12 @@ def verify_rainbow_vc(
     """
     if not is_connected(g):
         raise PreconditionError("verify_rainbow_vc requires a connected graph")
-    colors = tuple(_colors_of(c))
+    colors, block = _dense_colors(_colors_of(c), forbidden)
     if len(colors) != g.n:
         raise PreconditionError(
             f"coloring covers {len(colors)} vertices but the graph has {g.n}"
         )
     budget = node_budget if node_budget is not None else node_budget_default()
-    block = 0 if forbidden is None else 1 << forbidden
     for u in range(g.n - 1):
         unreached = _unreached(g, colors, u, range(u + 1, g.n), block, budget)
         if unreached:
@@ -330,7 +341,8 @@ def has_color_avoiding_connectivity(g: Graph, c, v: int, x: int) -> bool:
     if colors[v] == x:
         raise PreconditionError("the source vertex must not carry the avoided color")
     targets = [u for u in range(g.n) if u != v and colors[u] != x]
-    return not _unreached(g, colors, v, targets, 1 << x, node_budget_default())
+    colors, block = _dense_colors(colors, x)
+    return not _unreached(g, colors, v, targets, block, node_budget_default())
 
 
 def color_stats(c) -> ColorStats:

@@ -40,7 +40,7 @@ class TestColor:
         assert "count 7" in out
 
     def test_bowtie_auto_routes_to_blocks(self, bowtie_file, capsys):
-        code, out, _ = run_cli(["color", bowtie_file, "--method", "auto"], capsys)
+        code, out, _ = run_cli(["color", bowtie_file], capsys)
         assert code == 0
         assert "count 1" in out and "method blocks" in out
 
@@ -56,8 +56,13 @@ class TestColor:
         assert out.endswith("vertices 1\ncolors 0\ncount 0\nmethod complete\n")
         code, out, _ = run_cli(["--format", "structured", "exact", path], capsys)
         assert code == 0 and "count 0\n" in out
-        code, _, err = run_cli(["color", path, "--method", "blocks"], capsys)
-        assert code == 3 and "at least two vertices" in err
+
+    def test_method_flag_is_rejected(self, c14, capsys):
+        # the graph's shape picks the construction
+        with pytest.raises(SystemExit) as info:
+            main(["color", c14, "--method", "auto"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --method auto" in capsys.readouterr().err
 
     def test_disconnected_is_precondition_error(self, tmp_path, capsys):
         path = write_graph(tmp_path, "dis.txt", Graph(4, [(0, 1), (2, 3)]))
@@ -137,6 +142,13 @@ class TestVerify:
         code, out, _ = run_cli(["verify", g, str(coloring_path)], capsys)
         assert code == 1 and "failing" in out
 
+    def test_negative_colors(self, tmp_path, capsys):
+        g = write_graph(tmp_path, "c4.txt", Graph.cycle(4))
+        coloring_path = tmp_path / "c.txt"
+        coloring_path.write_text("colors -1 0 1 0\n")
+        code, out, _ = run_cli(["verify", g, str(coloring_path)], capsys)
+        assert code == 0 and out == "status verified\n"
+
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys):
         g = write_graph(tmp_path, "c5.txt", Graph.cycle(5))
         coloring_path = tmp_path / "short.txt"
@@ -210,6 +222,20 @@ class TestExact:
         g = write_graph(tmp_path, "c12.txt", Graph.cycle(12))
         code, _, err = run_cli(["exact", g], capsys)
         assert code == 3 and "budget" in err
+
+    def test_search_deeper_than_recursion_limit_exit_3(self, tmp_path, capsys):
+        # the search goes one call deeper per vertex
+        g = write_graph(tmp_path, "star.txt", Graph(400, [(0, v) for v in range(1, 400)]))
+        argv = ["exact", g, "--max-n", "400"]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(350)
+        try:
+            code, _, err = run_cli(argv, capsys)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 3 and "recursion limit" in err
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.startswith("value 1\n")
 
 
 def long_theta(interior: int = 1100) -> Graph:

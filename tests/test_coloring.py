@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -23,7 +24,6 @@ from rvc import (
     find_rainbow_coloring,
     has_color_avoiding_connectivity,
     long_ear_coloring,
-    minimal_2connected_spanning,
     parse_coloring,
     random_2connected,
     serialize_coloring,
@@ -354,8 +354,11 @@ class TestTwoConnected:
     def test_minimal_spanning_coloring_extends_to_supergraph(self):
         rng = random.Random(13)
         for i in range(10):
-            g = random_2connected(rng.randint(8, 16), 5, seed=400 + i)
-            h = minimal_2connected_spanning(g)
+            n = rng.randint(8, 16)
+            h = random_2connected(n, 0, seed=400 + i)  # a Hamilton cycle, minimally 2-connected
+            g = h
+            for u, v in rng.sample(sorted(set(combinations(range(n), 2)) - h.edges), 5):
+                g = g.with_edge(u, v)
             ch = two_connected_coloring(h)
             assert verify_rainbow_vc(g, ch).verified
 

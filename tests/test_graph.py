@@ -15,7 +15,6 @@ from rvc import (
     diameter,
     is_2_connected,
     is_connected,
-    minimal_2connected_spanning,
     parse_graph,
     serialize_graph,
 )
@@ -208,31 +207,3 @@ class TestTwoConnected:
 
     def test_bowtie_is_not(self, bowtie):
         assert not is_2_connected(bowtie)
-
-
-class TestMinimalSpanning:
-    def test_k4_gives_hamilton_cycle(self):
-        h = minimal_2connected_spanning(Graph.complete(4))
-        assert h.m == 4 and is_2_connected(h)
-        assert all(h.degree(v) == 2 for v in h.vertices())
-
-    def test_cycle_is_already_minimal(self):
-        g = Graph.cycle(9)
-        assert minimal_2connected_spanning(g) == g
-
-    def test_k5_postcondition_by_exhaustive_removal(self):
-        g = Graph.complete(5)
-        h = minimal_2connected_spanning(g)
-        assert h.n == 5 and is_2_connected(h)
-        assert h.m <= 2 * 5 - 3
-        assert h.edges <= g.edges
-        for u, v in h.edges:
-            assert not is_2_connected(h.without_edge(u, v))
-
-    def test_rejects_non_2connected(self, bowtie):
-        with pytest.raises(PreconditionError):
-            minimal_2connected_spanning(bowtie)
-
-    def test_deterministic(self):
-        g = Graph.complete(6)
-        assert minimal_2connected_spanning(g) == minimal_2connected_spanning(g)

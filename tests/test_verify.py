@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvc import (
-    RAINBOW,
     REVISED,
     Graph,
     PreconditionError,
@@ -70,19 +69,19 @@ def reference_dfs_path(g, adj, colors, u, v, block, budget):
 
 class TestPathPredicate:
     def test_two_vertex_path_is_always_rainbow(self):
-        assert is_rainbow_path((0, 1), [5, 5], RAINBOW)
+        assert is_rainbow_path((0, 1), [5, 5], None)
         assert is_rainbow_path((0, 1), [5, 5], REVISED)
 
     def test_internal_repeat_fails_both_modes(self):
         colors = [5, 1, 2, 1, 6]
         path = (0, 1, 2, 3, 4)
-        assert not is_rainbow_path(path, colors, RAINBOW)
+        assert not is_rainbow_path(path, colors, None)
         assert not is_rainbow_path(path, colors, REVISED)
 
     def test_shared_end_colors_allowed(self):
         colors = [3, 1, 2, 3]
         path = (0, 1, 2, 3)
-        assert is_rainbow_path(path, colors, RAINBOW)
+        assert is_rainbow_path(path, colors, None)
         assert is_rainbow_path(path, colors, REVISED)
 
     def test_forbidden_bans_everywhere(self):
@@ -114,7 +113,7 @@ class TestExistsPath:
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(3, 7))
             colors = [rng.randrange(3) for _ in range(g.n)]
-            for mode in (RAINBOW, REVISED):
+            for mode in (None, REVISED):
                 for u in range(g.n):
                     for v in range(u + 1, g.n):
                         a = exists_rainbow_path(g, colors, u, v, mode)
@@ -125,7 +124,7 @@ class TestExistsPath:
         g = Graph.path(8)
         colors = list(range(8))
         with pytest.raises(SearchInconclusiveError):
-            exists_rainbow_path(g, colors, 0, 7, RAINBOW, node_budget=2)
+            exists_rainbow_path(g, colors, 0, 7, None, node_budget=2)
 
     def test_rejects_equal_endpoints(self):
         with pytest.raises(PreconditionError):
@@ -137,7 +136,7 @@ class TestExistsPath:
         for _ in range(120):
             g = random_connected_graph(rng, rng.randint(3, 8))
             colors = [rng.randrange(rng.randint(1, g.n)) for _ in range(g.n)]
-            forbidden = rng.choice([RAINBOW, 0, 1])
+            forbidden = rng.choice([None, 0, 1])
             block = 0 if forbidden is None else 1 << forbidden
             adj = [sorted(g.adj(w)) for w in range(g.n)]
             budget = rng.choice([1, 3, 10, 10**6])
@@ -162,7 +161,7 @@ class TestExistsPath:
             g = random_connected_graph(rng, rng.randint(3, 6))
             k = rng.randint(1, g.n)
             colors = [rng.randrange(k) for _ in range(g.n)]
-            forbidden = rng.choice([RAINBOW, REVISED, 0, 1])
+            forbidden = rng.choice([None, REVISED, 0, 1])
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     found = exists_rainbow_path(g, colors, u, v, forbidden)
@@ -196,7 +195,7 @@ class TestVerifyAllPairs:
             g = random_connected_graph(rng, rng.randint(3, 8))
             k = rng.randint(1, g.n)
             colors = [rng.randrange(k) for _ in range(g.n)]
-            for forbidden in (RAINBOW, REVISED, 0, 1):
+            for forbidden in (None, REVISED, 0, 1):
                 cert = verify_rainbow_vc(g, colors, forbidden)
                 failing = [
                     (u, v)
@@ -237,7 +236,7 @@ class TestVerifyAllPairs:
             g = random_connected_graph(rng, rng.randint(3, 7))
             colors = [rng.randrange(4) for _ in range(g.n)]
             if verify_rainbow_vc(g, colors, REVISED).verified:
-                assert verify_rainbow_vc(g, colors, RAINBOW).verified
+                assert verify_rainbow_vc(g, colors, None).verified
 
     def test_refining_a_verified_coloring_stays_verified(self):
         rng = random.Random(8)
@@ -306,6 +305,56 @@ class TestAvoidingConnectivity:
                     assert has_color_avoiding_connectivity(g, colors, v, x) == expected
 
 
+class TestColorValues:
+    """The searches see which vertices share a color, not the color values:
+    a relabelled coloring gets the same answers, whatever its values."""
+
+    CASES = [
+        (random_2connected(12, 4, seed=5, kind="ears"), (0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 0, 2)),
+        (Graph.cycle(40), cycle_coloring(40).colors),
+    ]
+
+    @staticmethod
+    def relabels(colors, forbidden):
+        yield colors, forbidden
+        yield [100_000 * c for c in colors], 100_000 * forbidden
+        yield [-1 - c for c in colors], -1 - forbidden
+
+    @staticmethod
+    def certify(g, colors, budget, forbidden=None):
+        try:
+            return verify_rainbow_vc(
+                g, colors, forbidden, store_witnesses=True, node_budget=budget
+            )
+        except SearchInconclusiveError as err:
+            return str(err)
+
+    def test_certificates_at_the_budget_boundary(self):
+        for g, colors in self.CASES:
+            # the smallest node budget that verification with witnesses completes under
+            enough = next(
+                b for b in range(10**4) if not isinstance(self.certify(g, colors, b), str)
+            )
+            assert enough > 0 and self.certify(g, colors, enough).verified
+            for budget in (enough - 1, enough):
+                expected = self.certify(g, colors, budget)
+                for relabelled, _ in self.relabels(colors, 0):
+                    assert self.certify(g, relabelled, budget) == expected, budget
+
+    def test_forbidden_color_searches(self):
+        star = (Graph(6, [(0, v) for v in range(1, 6)]), (0, 1, 2, 3, 4, 5))
+        for g, colors in [*self.CASES, star]:
+            results = []
+            v = next(i for i, c in enumerate(colors) if c != colors[1])
+            for relabelled, x in self.relabels(colors, colors[1]):
+                results.append((
+                    self.certify(g, relabelled, 10**6, x),
+                    [exists_rainbow_path(g, relabelled, u, w, x) for u, w in all_pairs(g.n)],
+                    has_color_avoiding_connectivity(g, relabelled, v, x),
+                ))
+            assert results[0] == results[1] == results[2]
+
+
 class TestColorStats:
     def test_all_twice(self):
         st_ = color_stats([1, 2, 1, 2])
@@ -359,14 +408,14 @@ class TestCertificateSerialization:
         while checked < 40:
             g = random_connected_graph(rng, rng.randint(3, 8))
             colors = [rng.randrange(g.n) for _ in range(g.n)]
-            forbidden = rng.choice([RAINBOW, max(colors) + 1])
+            forbidden = rng.choice([None, max(colors) + 1])
             if verify_rainbow_vc(g, colors, forbidden).verified:
                 checked += 1
                 yield g, colors, forbidden
         # long one-sided walks, where the per-source sweep stops early
         for n in range(30, 61):
             colors = cycle_coloring(n).colors
-            yield Graph.cycle(n), colors, RAINBOW if n % 2 else max(colors) + 1
+            yield Graph.cycle(n), colors, None if n % 2 else max(colors) + 1
 
     def test_witnesses_match_per_pair_search(self):
         for g, colors, forbidden in self.witness_cases():
