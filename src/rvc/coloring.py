@@ -230,6 +230,7 @@ def _extension_options(
     colors: list[int],
     ear_path: tuple[int, ...],
     g: Graph,
+    verdicts: dict[tuple[int, ...], bool],
     star_target: int | None = None,
     avoid_vertices: frozenset[int] = frozenset(),
 ):
@@ -244,6 +245,8 @@ def _extension_options(
     vertices in avoid_vertices never receive the singleton (a chain uses
     this to keep the once-used color off the next ear's attachment points).
     The even case has no free choice, so at most one extension is yielded.
+    verdicts caches the verification verdict per extended coloring; a chain
+    shares one cache across its ears, since a coloring's length fixes g.
     """
     x = _check_balanced_precondition(colors)
     s = len(ear_path)
@@ -258,7 +261,10 @@ def _extension_options(
         if placement is not None and ear_path[placement] in avoid_vertices:
             continue
         out = _apply_balanced(colors, ear_path, x, placement)
-        if not verify_rainbow_vc(g, out).verified:
+        key = tuple(out)
+        if key not in verdicts:
+            verdicts[key] = verify_rainbow_vc(g, out).verified
+        if not verdicts[key]:
             continue
         if star_target is not None and not has_color_avoiding_connectivity(
             g, out, star_target, out[ear_path[placement]]
@@ -319,7 +325,7 @@ def balanced_coloring(
             "the once-used color must differ from the first attachment's color"
         )
     g2 = Graph(n2, [*h.edges, *_path_edges(p.path)])
-    out = next(_extension_options(colors, p.path, g2, star_target), None)
+    out = next(_extension_options(colors, p.path, g2, {}, star_target), None)
     if out is None:
         raise ConstructionError(
             "no balanced extension verifies"
@@ -353,6 +359,12 @@ def _balanced_chain(
     vertex ids. Raises ConstructionError when the search finishes without
     a verified chain and SearchInconclusiveError when it runs out of steps
     first.
+
+    The search keeps one generator of candidate extensions per ear on an
+    explicit stack. A state is an extension plus the orientation of the
+    next ear; its subtree depends on nothing else, so a state met again
+    has already failed and is skipped. Each new state costs one step, and
+    each candidate coloring is verified once per search.
     """
     n0 = len(initial_cycle)
     if n0 % 2 == 1:
@@ -378,17 +390,13 @@ def _balanced_chain(
         n += len(path) - 2
         graphs.append(Graph(n, edges))
     target = None if final_target is None else dense[final_target]
-    steps_left = _CHAIN_STEP_BUDGET
+    verdicts: dict[tuple[int, ...], bool] = {}
 
-    def dfs(colors: list[int], idx: int,
-            paths: tuple[tuple[int, ...], ...]) -> list[int] | None:
-        nonlocal steps_left
-        if idx == len(paths):
-            return colors
-        path = paths[idx]
+    def extensions(colors: list[int], idx: int, path: tuple[int, ...]):
+        """Yield (extension across ear idx, next ear as oriented for it)."""
+        nxt = paths[idx + 1] if idx + 1 < len(paths) else None
         odd = (len(colors) + len(path)) % 2 == 1
-        if odd and idx + 1 < len(paths):
-            nxt = paths[idx + 1]
+        if odd and nxt is not None:
             # preferred: prepare the avoiding property at one endpoint of
             # the next ear and keep the singleton off the other; fallbacks
             # drop the preparation and trust the verify gates
@@ -405,23 +413,32 @@ def _balanced_chain(
         # fallback since every extension is verified anyway
         for oriented in (path, path[::-1]):
             for star, avoid, flip_next in plans:
-                for out in _extension_options(colors, oriented, graphs[idx], star, avoid):
-                    steps_left -= 1
-                    if steps_left < 0:
-                        raise SearchInconclusiveError("balanced chain search budget exhausted")
-                    nxt_paths = paths
-                    if flip_next:
-                        nxt_paths = paths[:idx + 1] + (paths[idx + 1][::-1],) + paths[idx + 2:]
-                    result = dfs(out, idx + 1, nxt_paths)
-                    if result is not None:
-                        return result
-        return None
+                for out in _extension_options(colors, oriented, graphs[idx], verdicts, star, avoid):
+                    yield out, (nxt[::-1] if flip_next else nxt)
 
-    result = dfs([i % ((n0 + 1) // 2) for i in range(n0)], 0, paths)
-    dfs = None  # the recursive closure refers to itself; free the prefix graphs now
-    if result is None:
-        raise ConstructionError("no verified balanced chain exists for this decomposition")
-    return dict(zip(order, result))
+    colors = [i % ((n0 + 1) // 2) for i in range(n0)]
+    if not paths:
+        return dict(zip(order, colors))
+    seen = set()
+    steps_left = _CHAIN_STEP_BUDGET
+    stack = [extensions(colors, 0, paths[0])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        out, nxt = state
+        key = (tuple(out), nxt)
+        if key in seen:
+            continue
+        seen.add(key)
+        steps_left -= 1
+        if steps_left < 0:
+            raise SearchInconclusiveError("balanced chain search budget exhausted")
+        if nxt is None:
+            return dict(zip(order, out))
+        stack.append(extensions(out, len(stack), nxt))
+    raise ConstructionError("no verified balanced chain exists for this decomposition")
 
 
 def balanced_chain_coloring(

@@ -53,14 +53,8 @@ class Graph:
     def adj(self, u: int) -> frozenset[int]:
         return self._adj[u]
 
-    def degree(self, u: int) -> int:
-        return len(self._adj[u])
-
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self._edges
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -105,13 +99,6 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, combinations(range(n), 2))
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
-        edges = list(edges)
-        if n is None:
-            n = 1 + max((max(u, v) for u, v in edges), default=-1)
-        return cls(n, edges)
 
 
 @dataclass(frozen=True)
@@ -221,7 +208,7 @@ def diameter(g: Graph) -> int:
     _require_connected(g, "diameter")
     if g.n == 0:
         raise PreconditionError("diameter requires at least one vertex")
-    return max(max(_bfs_dist(g, s)) for s in g.vertices())
+    return max(max(_bfs_dist(g, s)) for s in range(g.n))
 
 
 def _block_dfs(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
@@ -237,7 +224,7 @@ def _block_dfs(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
     cuts: set[int] = set()
     timer = 0
 
-    for root in g.vertices():
+    for root in range(g.n):
         if disc[root] >= 0:
             continue
         root_children = 0

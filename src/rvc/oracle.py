@@ -164,36 +164,41 @@ class _FixedKSearch:
                 self.path_mask[pid] = m
 
     def run(self) -> list[int] | None:
+        """Color vertices 0..n-1 in order, trying colors in restricted-growth
+        order and backtracking on a conflict. The stack holds, per colored
+        vertex, (its color, the colors used before it, its undo frame)."""
         if not self.feasible:
             return None
-        try:
-            return self._rec(0, 0)
-        except RecursionError:  # _rec goes one call deeper per vertex
-            raise BudgetExceededError(
-                f"exact search on {self.g.n} vertices exceeds the recursion limit"
-            ) from None
-
-    def _rec(self, idx: int, used: int) -> list[int] | None:
-        n = self.g.n
-        if idx == n:
-            return list(self.colors) if used == self.k else None
-        if used + (n - idx) < self.k:
-            return None  # cannot reach exactly k colors
-        for col in range(min(used + 1, self.k)):
-            self.nodes += 1
-            if self.nodes > self.node_budget:
-                raise BudgetExceededError(
-                    f"exact search exceeded node budget {self.node_budget}"
-                )
-            self.colors[idx] = col
-            conflict, frame = self._assign(idx, col)
-            if not conflict:
-                result = self._rec(idx + 1, used + (1 if col == used else 0))
-                if result is not None:
-                    return result
-            self._undo(frame)
-        self.colors[idx] = -1
-        return None
+        n, k, colors = self.g.n, self.k, self.colors
+        assign, undo = self._assign, self._undo
+        stack: list[tuple[int, int, list[tuple[int, int]]]] = []
+        col = used = 0  # the next color to try at vertex len(stack); colors used before it
+        while True:
+            idx = len(stack)
+            if idx == n and used == k:
+                return list(colors)
+            # used <= k, so at idx == n the last test fails unless used == k
+            if col <= used and col < k and used + (n - idx) >= k:
+                self.nodes += 1
+                if self.nodes > self.node_budget:
+                    raise BudgetExceededError(
+                        f"exact search exceeded node budget {self.node_budget}"
+                    )
+                colors[idx] = col
+                conflict, frame = assign(idx, col)
+                if conflict:
+                    undo(frame)
+                    col += 1
+                else:
+                    stack.append((col, used, frame))
+                    used += col == used
+                    col = 0
+                continue
+            if not stack:
+                return None
+            col, used, frame = stack.pop()
+            undo(frame)
+            col += 1
 
 
 def _check_instance(

@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -32,6 +35,8 @@ from rvc import (
 )
 from rvc.coloring import SMALL_CYCLE_COLORINGS
 from rvc.decompose import Ear
+
+from .test_acceptance import _chain_instance
 
 
 def closed_form(n: int) -> int:
@@ -202,6 +207,40 @@ class TestBalancedChain:
         monkeypatch.setattr("rvc.coloring._CHAIN_STEP_BUDGET", 0)
         with pytest.raises(SearchInconclusiveError, match="budget exhausted"):
             balanced_chain_coloring(10, [ear])
+
+    @pytest.mark.parametrize("seed", [108, 199])
+    def test_backtracking_seeds_are_refuted_within_budget(self, seed):
+        # criterion 4's two deepest searches finish once no state is searched twice
+        n0, ears, target, _ = _chain_instance(seed)
+        with pytest.raises(ConstructionError, match="no verified balanced chain exists"):
+            balanced_chain_coloring(n0, ears, final_target=target)
+
+    def test_each_candidate_is_verified_once(self, monkeypatch):
+        calls = Counter()
+        gate = verify_rainbow_vc
+
+        def counting(g, colors, *args):
+            calls[g.n, tuple(colors)] += 1
+            return gate(g, colors, *args)
+
+        monkeypatch.setattr("rvc.coloring.verify_rainbow_vc", counting)
+        n0, ears, target, _ = _chain_instance(108)
+        with pytest.raises(ConstructionError):
+            balanced_chain_coloring(n0, ears, final_target=target)
+        assert len(calls) > 1000 and max(calls.values()) == 1
+
+    def test_more_ears_than_the_recursion_limit_allows(self):
+        ears, n = [], 8
+        for _ in range(30):
+            ears.append(Ear((0, *range(n, n + 4), n - 1)))
+            n += 4
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+        try:
+            g, c = balanced_chain_coloring(8, ears)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert g.n == n and verify_rainbow_vc(g, c).verified
 
 
 class TestLongEarColoring:
