@@ -230,7 +230,7 @@ def _extension_options(
     colors: list[int],
     ear_path: tuple[int, ...],
     g: Graph,
-    verdicts: dict[tuple[int, ...], bool],
+    verdicts: dict[tuple, bool],
     star_target: int | None = None,
     avoid_vertices: frozenset[int] = frozenset(),
 ):
@@ -245,8 +245,10 @@ def _extension_options(
     vertices in avoid_vertices never receive the singleton (a chain uses
     this to keep the once-used color off the next ear's attachment points).
     The even case has no free choice, so at most one extension is yielded.
-    verdicts caches the verification verdict per extended coloring; a chain
-    shares one cache across its ears, since a coloring's length fixes g.
+    verdicts caches the verification verdict per extended coloring, and the
+    avoiding verdict under (coloring, star_target); a chain shares one cache
+    across its ears, since a coloring's length fixes g and the coloring
+    fixes its once-used color.
     """
     x = _check_balanced_precondition(colors)
     s = len(ear_path)
@@ -266,10 +268,14 @@ def _extension_options(
             verdicts[key] = verify_rainbow_vc(g, out).verified
         if not verdicts[key]:
             continue
-        if star_target is not None and not has_color_avoiding_connectivity(
-            g, out, star_target, out[ear_path[placement]]
-        ):
-            continue
+        if star_target is not None:
+            avoid_key = (key, star_target)
+            if avoid_key not in verdicts:
+                verdicts[avoid_key] = has_color_avoiding_connectivity(
+                    g, out, star_target, out[ear_path[placement]]
+                )
+            if not verdicts[avoid_key]:
+                continue
         yield out
 
 
@@ -364,7 +370,8 @@ def _balanced_chain(
     explicit stack. A state is an extension plus the orientation of the
     next ear; its subtree depends on nothing else, so a state met again
     has already failed and is skipped. Each new state costs one step, and
-    each candidate coloring is verified once per search.
+    each candidate coloring is verified, and its avoiding property checked
+    for a target, once per search.
     """
     n0 = len(initial_cycle)
     if n0 % 2 == 1:
@@ -390,7 +397,7 @@ def _balanced_chain(
         n += len(path) - 2
         graphs.append(Graph(n, edges))
     target = None if final_target is None else dense[final_target]
-    verdicts: dict[tuple[int, ...], bool] = {}
+    verdicts: dict[tuple, bool] = {}
 
     def extensions(colors: list[int], idx: int, path: tuple[int, ...]):
         """Yield (extension across ear idx, next ear as oriented for it)."""

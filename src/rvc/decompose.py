@@ -88,14 +88,12 @@ def _dfs_cycle(g: Graph) -> tuple[int, ...]:
     stack = [(0, iter(sorted(g.adj(0))))]
     while stack:
         u, it = stack[-1]
-        advanced = False
         for w in it:
             if disc[w] < 0:
                 parent[w] = u
                 disc[w] = timer
                 timer += 1
                 stack.append((w, iter(sorted(g.adj(w)))))
-                advanced = True
                 break
             if w != parent[u] and disc[w] < disc[u]:
                 # back edge (u, w): the tree path w..u plus this edge closes a cycle
@@ -106,14 +104,9 @@ def _dfs_cycle(g: Graph) -> tuple[int, ...]:
                     cyc.append(x)
                 cyc.reverse()
                 return tuple(cyc)
-        if not advanced:
+        else:
             stack.pop()
     raise PreconditionError("graph has no cycle")
-
-
-def _subgraph_sets(h: Graph) -> tuple[set[int], set[tuple[int, int]]]:
-    verts = {u for e in h.edges for u in e}
-    return verts, set(h.edges)
 
 
 def _longest_ear_impl(
@@ -130,36 +123,23 @@ def _longest_ear_impl(
     heuristic flag, and exhaustion before any ear was found raises. The
     walk keeps one iterator over sorted neighbours per path vertex on an
     explicit stack, so an ear's length is not bounded by the recursion
-    limit.
+    limit. Chords (length-1 ears) cost no budget; they are looked for only
+    when the walk found no longer ear.
     """
-    best: tuple[int, ...] | None = None
+    best: tuple[int, ...] = ()  # its key (0, ()) sorts after every (-len(ear), ear)
     nodes = 0
     exhausted = False
-
-    def consider(path: tuple[int, ...]):
-        nonlocal best
-        if best is None:
-            best = path
-            return
-        if len(path) > len(best) or (len(path) == len(best) and path < best):
-            best = path
-
     for a in sorted(h_vertices):
-        # chords: single non-h edges between h vertices
-        for b in sorted(g.adj(a)):
-            if b in h_vertices and b != a and _norm(a, b) not in h_edges:
-                consider((a, b))
-        # longer ears: descend through vertices outside h
         path = [a]
         on_path = {a}
-        top = iter(sorted(g.adj(a)))
-        stack = [top]
-        while not exhausted:
-            for w in top:
+        stack = [iter(sorted(g.adj(a)))]
+        while stack and not exhausted:
+            for w in stack[-1]:
                 if w in h_vertices:
-                    # length-1 ears are handled by the chord loop above
                     if w != a and len(path) >= 2:
-                        consider(tuple(path) + (w,))
+                        ear = (*path, w)
+                        if (-len(ear), ear) < (-len(best), best):
+                            best = ear
                     continue
                 if w in on_path:
                     continue
@@ -169,16 +149,19 @@ def _longest_ear_impl(
                     break
                 path.append(w)
                 on_path.add(w)
-                top = iter(sorted(g.adj(w)))
-                stack.append(top)
+                stack.append(iter(sorted(g.adj(w))))
                 break
             else:
                 stack.pop()
                 on_path.remove(path.pop())
-                if not stack:
-                    break
-                top = stack[-1]
-    if best is None:
+    if not best:
+        # the first chord in (a, b) order is the lexicographically smallest
+        best = next(
+            ((a, b) for a in sorted(h_vertices) for b in sorted(g.adj(a))
+             if b in h_vertices and _norm(a, b) not in h_edges),
+            (),
+        )
+    if not best:
         if exhausted:
             raise BudgetExceededError(
                 "ear search budget exhausted before any ear was found"
@@ -195,10 +178,9 @@ def longest_ear(g: Graph, h: Graph, budget: int = DEFAULT_EAR_BUDGET) -> Ear:
     """
     if not is_2_connected(g):
         raise PreconditionError("longest_ear requires a 2-connected host graph")
-    h_vertices, h_edges = _subgraph_sets(h)
-    if not h_edges <= g.edges:
+    if not h.edges <= g.edges:
         raise PreconditionError("h is not a subgraph of g")
-    ear = _longest_ear_impl(g, h_vertices, h_edges, budget)
+    ear = _longest_ear_impl(g, {u for e in h.edges for u in e}, set(h.edges), budget)
     if ear is None:
         raise PreconditionError("h already contains every edge of g; no ear exists")
     return ear

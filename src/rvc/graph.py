@@ -212,14 +212,16 @@ def diameter(g: Graph) -> int:
 
 
 def _block_dfs(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
-    """Depth-first low-point sweep yielding blocks and cut vertices.
+    """Tarjan's depth-first low-point sweep yielding blocks and cut vertices.
 
-    Iterative so deep graphs do not hit the recursion limit.
+    Each vertex but a root waits on `opened` from its discovery until its
+    block closes: when a child u of p has low[u] >= disc[p], the vertices
+    from u up form one block with p. Iterative so deep graphs do not hit
+    the recursion limit.
     """
     disc = [-1] * g.n
     low = [0] * g.n
-    parent = [-1] * g.n
-    edge_stack: list[tuple[int, int]] = []
+    opened: list[int] = []
     blocks: list[frozenset[int]] = []
     cuts: set[int] = set()
     timer = 0
@@ -228,45 +230,34 @@ def _block_dfs(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
         if disc[root] >= 0:
             continue
         root_children = 0
-        # stack entries: (vertex, iterator over sorted neighbors)
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, iter(sorted(g.adj(root))))]
+        # stack entries: (vertex, iterator over sorted neighbors, its index in opened)
+        stack = [(root, iter(sorted(g.adj(root))), 0)]
         while stack:
-            u, it = stack[-1]
-            advanced = False
+            u, it, mark = stack[-1]
             for w in it:
                 if disc[w] < 0:
-                    parent[w] = u
-                    edge_stack.append((u, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(sorted(g.adj(w)))))
-                    advanced = True
+                    stack.append((w, iter(sorted(g.adj(w))), len(opened)))
+                    opened.append(w)
                     break
-                elif w != parent[u] and disc[w] < disc[u]:
-                    edge_stack.append((u, w))
-                    low[u] = min(low[u], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[u])
-                if p == root:
-                    root_children += 1
-                if (p != root and low[u] >= disc[p]) or p == root:
-                    if p != root and low[u] >= disc[p]:
-                        cuts.add(p)
-                    member: set[int] = set()
-                    while edge_stack:
-                        a, b = edge_stack.pop()
-                        member.add(a)
-                        member.add(b)
-                        if (a, b) == (p, u):
-                            break
-                    if member:
-                        blocks.append(frozenset(member))
+                # w may be u's parent p: low[u] <= disc[p] flips no test
+                # low[x] >= disc[y], as y is then p or an ancestor of p
+                low[u] = min(low[u], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if low[u] >= disc[p]:
+                        if p == root:
+                            root_children += 1
+                        else:
+                            cuts.add(p)
+                        blocks.append(frozenset([p, *opened[mark:]]))
+                        del opened[mark:]
         if root_children > 1:
             cuts.add(root)
     return blocks, cuts
@@ -293,11 +284,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
 
 def is_2_connected(g: Graph) -> bool:
-    """n >= 3, connected, and no cut vertex."""
-    if g.n < 3 or not is_connected(g):
-        return False
-    _, cuts = _block_dfs(g)
-    return not cuts
+    """n >= 3, connected, and no cut vertex: the sweep finds one block, all of g."""
+    return g.n >= 3 and _block_dfs(g)[0] == [frozenset(range(g.n))]
 
 
 def all_pairs(n: int) -> Iterator[tuple[int, int]]:

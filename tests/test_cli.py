@@ -276,6 +276,21 @@ class TestDecompose:
         assert lines[0].startswith("cycle ") and len(lines[0].split()) == 7
         assert sum(1 for ln in lines if ln.startswith("ear ")) == 1
 
+    def test_heuristic_ears_are_counted_on_stderr(self, tmp_path, capsys, monkeypatch):
+        from rvc import attach_ear, ear_decomposition
+
+        g, _ = attach_ear(Graph.cycle(6), 0, 3, 2)
+        path = write_graph(tmp_path, "theta.txt", g)
+        code, _, err = run_cli(["decompose", path, "--ears"], capsys)
+        assert code == 0 and err.endswith("may not be longest): 0 of 1\n")
+        # two path extensions find the ear but stop the search for a longer one
+        monkeypatch.setattr("rvc.cli.ear_decomposition", lambda g: ear_decomposition(g, budget=2))
+        code, out, err = run_cli(["decompose", path, "--ears"], capsys)
+        assert code == 0 and out.count("ear ") == 1
+        assert err.count("\n") == 1 and err.endswith("may not be longest): 1 of 1\n")
+        code, _, err = run_cli(["--format", "structured", "decompose", path, "--ears"], capsys)
+        assert code == 0 and err == ""
+
     def test_bowtie_blocks(self, bowtie_file, capsys):
         code, out, _ = run_cli(["decompose", bowtie_file, "--blocks"], capsys)
         assert code == 0

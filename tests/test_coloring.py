@@ -229,6 +229,20 @@ class TestBalancedChain:
             balanced_chain_coloring(n0, ears, final_target=target)
         assert len(calls) > 1000 and max(calls.values()) == 1
 
+    def test_each_avoiding_check_runs_once(self, monkeypatch):
+        calls = Counter()
+        check = has_color_avoiding_connectivity
+
+        def counting(g, colors, v, x):
+            calls[g.n, tuple(colors), v] += 1
+            return check(g, colors, v, x)
+
+        monkeypatch.setattr("rvc.coloring.has_color_avoiding_connectivity", counting)
+        n0, ears, target, _ = _chain_instance(199)
+        with pytest.raises(ConstructionError):
+            balanced_chain_coloring(n0, ears, final_target=target)
+        assert len(calls) > 1000 and max(calls.values()) == 1
+
     def test_more_ears_than_the_recursion_limit_allows(self):
         ears, n = [], 8
         for _ in range(30):

@@ -200,6 +200,11 @@ class TestTwoConnected:
             (Graph.complete(4), True),
             (Graph(2, [(0, 1)]), False),  # order below 3
             (Graph.cycle(3), True),
+            (Graph(0), False),
+            (Graph(1), False),
+            (Graph(4, [(0, 1), (1, 2), (0, 2)]), False),  # plus an isolated vertex
+            (Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), False),
+            (Graph(5, [*Graph.cycle(4).edges, (3, 4)]), False),  # pendant vertex
         ],
     )
     def test_known(self, g, expected):
@@ -207,3 +212,13 @@ class TestTwoConnected:
 
     def test_bowtie_is_not(self, bowtie):
         assert not is_2_connected(bowtie)
+
+    def test_matches_networkx(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            p = rng.choice([0.15, 0.3, 0.5, 0.8])
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            h = to_nx(g)
+            want = n >= 3 and nx.is_connected(h) and not set(nx.articulation_points(h))
+            assert is_2_connected(g) is want, sorted(g.edges)
