@@ -17,13 +17,7 @@ import hashlib
 import sys
 import time
 
-from .coloring import (
-    Coloring,
-    _block_certified,
-    _two_connected_certified,
-    parse_coloring,
-    serialize_coloring,
-)
+from .coloring import block_coloring, parse_coloring, serialize_coloring
 from .decompose import ear_decomposition, serialize_decomposition
 from .errors import (
     BudgetExceededError,
@@ -116,21 +110,8 @@ def cmd_color(args) -> int:
         print("error: coloring requires a connected graph", file=sys.stderr)
         return EXIT_PRECONDITION
     t0 = time.perf_counter()
-    if g.n < 2:  # no pair of vertices to connect, so no blocks either
-        coloring, cert = Coloring((0,) * g.n, reported_count=0, method="complete"), None
-    elif is_2_connected(g):
-        coloring, cert = _two_connected_certified(g)  # maps the cycle pattern onto g's order
-    else:
-        coloring, cert = _block_certified(g)
-    if cert is None:  # the construction did not verify its result on g
-        cert = verify_rainbow_vc(g, coloring)
+    coloring = block_coloring(g)  # verified on g, or ConstructionError
     elapsed = time.perf_counter() - t0
-    if not cert.verified:
-        print(
-            f"error: construction failed verification at pair {cert.failing_pair}",
-            file=sys.stderr,
-        )
-        return EXIT_CONSTRUCTION
     _echo(args, sys.stdout)
     print(serialize_coloring(coloring), end="")
     if args.format == "human":

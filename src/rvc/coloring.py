@@ -19,7 +19,6 @@ from .errors import (
 )
 from .graph import Graph, block_decomposition, diameter, is_2_connected, is_connected
 from .verify import (
-    Certificate,
     color_stats,
     has_color_avoiding_connectivity,
     verify_rainbow_vc,
@@ -567,18 +566,12 @@ def _short_ear_colors(
     return out
 
 
-def _search_capped(g: Graph, cap: int) -> Coloring | None:
-    """Bounded exhaustive witness search with at most cap colors."""
-    from .oracle import SearchBudget, find_rainbow_coloring
-
-    lb = max(diameter(g) - 1, 1)
-    budget = SearchBudget(max_vertices=g.n)
-    for k in range(lb, cap + 1):
-        found = find_rainbow_coloring(g, k, budget=budget)
-        if found is not None:
-            coloring, _ = found
-            return Coloring(coloring.colors, coloring.reported_count, method="exact")
-    return None
+def _verified(g: Graph, coloring: Coloring) -> Coloring:
+    """The coloring, once the verifier accepts it on g."""
+    cert = verify_rainbow_vc(g, coloring.colors)
+    if not cert.verified:
+        raise ConstructionError(f"construction failed verification at pair {cert.failing_pair}")
+    return coloring
 
 
 def two_connected_coloring(g: Graph) -> Coloring:
@@ -587,52 +580,46 @@ def two_connected_coloring(g: Graph) -> Coloring:
 
     Pipeline: nonincreasing ear decomposition; balanced chain over the
     ears of length >= 5; explicit rules for ears of length 2..4; chords
-    need no colors of their own. The result is verified before being
-    returned, retrying each available reuse color if needed, and small
-    orders fall back to a capped exhaustive search.
+    need no colors of their own. Complete graphs, cycles and diameter-2
+    graphs take their direct colorings, and small orders the pipeline
+    cannot serve fall back to the exact search. Every result is verified
+    on g once before it is returned; a failing check raises
+    ConstructionError.
     """
-    return _two_connected_certified(g)[0]
-
-
-def _two_connected_certified(g: Graph) -> tuple[Coloring, Certificate | None]:
-    """`two_connected_coloring` plus the certificate of its final check on g;
-    None for cycles, complete graphs and the capped search, which are not
-    verified here."""
     if not is_2_connected(g):
         raise PreconditionError("two_connected_coloring requires a 2-connected graph")
     n = g.n
     if g.is_complete():
-        return Coloring((0,) * n, reported_count=0, method="complete"), None
+        return _verified(g, Coloring((0,) * n, reported_count=0, method="complete"))
     if g.m == n:  # a cycle
         pattern = cycle_coloring(n)
         order = _cycle_order(g)
         flat = [0] * n
         for pos, v in enumerate(order):
             flat[v] = pattern.colors[pos]
-        return Coloring(tuple(flat), pattern.reported_count, method="cycle"), None
-    cap = cycle_rvc_value(n)
+        return _verified(g, Coloring(tuple(flat), pattern.reported_count, method="cycle"))
     if diameter(g) == 2:
-        flat = (0,) * n
-        cert = verify_rainbow_vc(g, flat)
-        if cert.verified:
-            return Coloring(flat, reported_count=1, method="two-connected"), cert
-
+        # a non-adjacent pair has a common neighbour, its path's only internal vertex
+        return _verified(g, Coloring((0,) * n, reported_count=1, method="two-connected"))
     attempt = _two_connected_pipeline(g)
     if attempt is not None:
         return attempt
+    cap = cycle_rvc_value(n)
     if n <= 15:
-        found = _search_capped(g, cap)
-        if found is not None:
-            return Coloring(found.colors, found.reported_count, method="two-connected"), None
+        from .oracle import SearchBudget, exact_rvc
+
+        found = exact_rvc(g, budget=SearchBudget(max_vertices=n)).witness  # verified there
+        if found.reported_count <= cap:
+            return Coloring(found.colors, found.reported_count, method="two-connected")
     raise ConstructionError(
         f"no verified coloring within {cap} colors was constructed for n={n}"
     )
 
 
-def _two_connected_pipeline(g: Graph) -> tuple[Coloring, Certificate] | None:
-    """Decomposition-driven construction and the certificate that accepted
-    it; None when it needs more colors than the cycle or no reuse color
-    verifies."""
+def _two_connected_pipeline(g: Graph) -> Coloring | None:
+    """Decomposition-driven construction, verified on g by the check that
+    accepts its reuse color; None when it needs more colors than the cycle
+    or no reuse color verifies."""
     d = ear_decomposition(g)
     long_ears: list[Ear] = []
     rest: list[Ear] = []
@@ -658,32 +645,28 @@ def _two_connected_pipeline(g: Graph) -> tuple[Coloring, Certificate] | None:
         flat = tuple(colors[v] for v in range(g.n))
         if len(set(flat)) > cycle_rvc_value(g.n):
             return None  # count is independent of the reuse color; retrying cannot help
-        cert = verify_rainbow_vc(g, flat)
-        if cert.verified:
-            return Coloring(flat, reported_count=len(set(flat)), method="two-connected"), cert
+        if verify_rainbow_vc(g, flat).verified:
+            return Coloring(flat, reported_count=len(set(flat)), method="two-connected")
     return None
 
 
 def block_coloring(g: Graph) -> Coloring:
-    """Rainbow vertex-coloring of a connected graph, one palette per
-    non-complete block plus fresh distinct colors on the cut vertices.
+    """Rainbow vertex-coloring of any connected graph, verified on g once.
 
-    Palettes are laid side by side from color 0. The vertices of complete
-    blocks that are not cut vertices keep color 0; when every block is
-    complete, that is the color of the first cut vertex.
+    A complete graph (n < 2 included) takes the complete record and a
+    2-connected graph its `two_connected_coloring`. Otherwise each
+    non-complete block gets its own palette and the cut vertices fresh
+    distinct colors. Palettes are laid side by side from color 0. The
+    vertices of complete blocks that are not cut vertices keep color 0;
+    when every block is complete, that is the color of the first cut
+    vertex.
     """
-    return _block_certified(g)[0]
-
-
-def _block_certified(g: Graph) -> tuple[Coloring, Certificate | None]:
-    """`block_coloring` plus the certificate of its whole-graph check; None
-    for a complete graph, which is not verified here."""
-    if g.n < 2:
-        raise PreconditionError("block_coloring requires at least 2 vertices")
     if not is_connected(g):
         raise PreconditionError("block_coloring requires a connected graph")
     if g.is_complete():
-        return Coloring((0,) * g.n, reported_count=0, method="complete"), None
+        return _verified(g, Coloring((0,) * g.n, reported_count=0, method="complete"))
+    if is_2_connected(g):
+        return two_connected_coloring(g)
     bd = block_decomposition(g)
     flat = [0] * g.n
     offset = 0
@@ -697,12 +680,7 @@ def _block_certified(g: Graph) -> tuple[Coloring, Certificate | None]:
         offset += max(sub_coloring.colors) + 1
     for i, v in enumerate(sorted(bd.cut_vertices)):
         flat[v] = offset + i
-
-    coloring = Coloring(tuple(flat), reported_count=len(set(flat)), method="blocks")
-    cert = verify_rainbow_vc(g, coloring.colors)
-    if not cert.verified:
-        raise ConstructionError(f"block coloring failed verification at {cert.failing_pair}")
-    return coloring, cert
+    return _verified(g, Coloring(tuple(flat), reported_count=len(set(flat)), method="blocks"))
 
 
 def block_bound(g: Graph) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rvc import Graph, random_2connected, serialize_graph
+from rvc import Coloring, Graph, random_2connected, serialize_graph
 from rvc.cli import main
 
 
@@ -76,11 +76,35 @@ class TestColor:
             r"constructed and verified rainbow vertex-connected in \d+\.\d{3}s\n", err
         )
 
+    @pytest.fixture
+    def constant_cycles(self, monkeypatch):
+        """A cycle construction that colors every vertex 0, which C7 and C14 reject."""
+        import rvc.coloring
+
+        monkeypatch.setattr(
+            rvc.coloring, "cycle_coloring", lambda n: Coloring((0,) * n, 1, method="cycle")
+        )
+
+    def test_failed_construction_exits_4(self, c14, capsys, constant_cycles):
+        code, out, err = run_cli(["--format", "structured", "color", c14], capsys)
+        assert (code, out) == (4, "")
+        assert err == "error: construction failed verification at pair (0, 3)\n"
+
+    def test_failed_block_exits_4_at_the_blocks_pair(self, tmp_path, capsys, constant_cycles):
+        # two C7 blocks sharing vertex 0: the first cycle block fails its own
+        # check, and the pair is named in that block's numbering
+        edges = [(i, (i + 1) % 7) for i in range(7)]
+        edges += list(zip([0, *range(7, 13)], [*range(7, 13), 0]))
+        path = write_graph(tmp_path, "c7c7.txt", Graph(13, edges))
+        code, out, err = run_cli(["--format", "structured", "color", path], capsys)
+        assert (code, out) == (4, "")
+        assert err == "error: construction failed verification at pair (0, 3)\n"
+
 
 class TestVerifyOnce:
-    """`rvc color` verifies the coloring it emits on the input graph once:
-    by the construction's own final check, or by the CLI when the
-    construction returns no certificate."""
+    """`rvc color` verifies the coloring it emits on the input graph once,
+    by the construction's own final check; on the exact fallback that check
+    is the oracle's witness re-verification."""
 
     CASES = {
         "c14": (lambda: Graph.cycle(14), "cycle", False),
@@ -98,6 +122,7 @@ class TestVerifyOnce:
     def test_emitted_coloring_is_verified_once(self, name, tmp_path, capsys, monkeypatch):
         import rvc.cli
         import rvc.coloring
+        import rvc.oracle
 
         make, method, capped = self.CASES[name]
         g = make()
@@ -110,15 +135,16 @@ class TestVerifyOnce:
             return original(graph, c, *args, **kwargs)
 
         searched = []
-        search = rvc.coloring._search_capped
+        search = rvc.oracle.exact_rvc
 
-        def spy(graph, cap):
-            searched.append(cap)
-            return search(graph, cap)
+        def spy(graph, *args, **kwargs):
+            searched.append(graph.n)
+            return search(graph, *args, **kwargs)
 
         monkeypatch.setattr(rvc.coloring, "verify_rainbow_vc", recorder)
         monkeypatch.setattr(rvc.cli, "verify_rainbow_vc", recorder)
-        monkeypatch.setattr(rvc.coloring, "_search_capped", spy)
+        monkeypatch.setattr(rvc.oracle, "verify_rainbow_vc", recorder)
+        monkeypatch.setattr(rvc.oracle, "exact_rvc", spy)
         code, out, _ = run_cli(["color", path], capsys)
         assert code == 0 and f"method {method}\n" in out
         assert bool(searched) == capped

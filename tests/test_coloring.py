@@ -419,6 +419,58 @@ class TestTwoConnected:
         with pytest.raises(PreconditionError):
             two_connected_coloring(bowtie)
 
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(m + 2, [(a, j) for a in (0, 1) for j in range(2, m + 2)]) for m in range(3, 7)]
+        + [Graph(r + 1, [(0, i) for i in range(1, r + 1)] + [(i, i % r + 1) for i in range(1, r + 1)])
+           for r in range(4, 9)]
+        + [Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])],
+        ids=[f"K2,{m}" for m in range(3, 7)] + [f"wheel{r}" for r in range(4, 9)] + ["petersen"],
+    )
+    def test_diameter_2_takes_one_color(self, g):
+        # a non-adjacent pair has a common neighbour, so one color always verifies
+        c = two_connected_coloring(g)
+        assert (c.colors, c.reported_count, c.method) == ((0,) * g.n, 1, "two-connected")
+        assert verify_rainbow_vc(g, c).verified
+
+    BRANCHES = {
+        "cycle": (lambda: Graph.cycle(14), "cycle", False),
+        "complete": (lambda: Graph.complete(4), "complete", False),
+        "diameter-2": (lambda: Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
+                       "two-connected", False),
+        "pipeline": (lambda: random_2connected(40, 10, seed=3), "two-connected", False),
+        "exact": (lambda: random_2connected(8, 1, seed=0), "two-connected", True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BRANCHES))
+    def test_each_branch_verifies_its_result_once(self, name, monkeypatch):
+        import rvc.coloring
+        import rvc.oracle
+
+        make, method, exact = self.BRANCHES[name]
+        g = make()
+        checks = []
+        original = rvc.coloring.verify_rainbow_vc
+
+        def recorder(graph, c, *args, **kwargs):
+            checks.append((graph, tuple(getattr(c, "colors", c))))
+            return original(graph, c, *args, **kwargs)
+
+        searched = []
+        search = rvc.oracle.exact_rvc
+
+        def spy(graph, *args, **kwargs):
+            searched.append(graph.n)
+            return search(graph, *args, **kwargs)
+
+        monkeypatch.setattr(rvc.coloring, "verify_rainbow_vc", recorder)
+        monkeypatch.setattr(rvc.oracle, "verify_rainbow_vc", recorder)
+        monkeypatch.setattr(rvc.oracle, "exact_rvc", spy)
+        c = two_connected_coloring(g)
+        assert c.method == method and bool(searched) == exact
+        assert checks.count((g, c.colors)) == 1
+
 
 class TestBlockColoring:
     def test_bowtie(self, bowtie):
@@ -462,6 +514,20 @@ class TestBlockColoring:
     def test_rejects_disconnected(self):
         with pytest.raises(PreconditionError):
             block_coloring(Graph(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_get_the_complete_record(self, n):
+        c = block_coloring(Graph(n))
+        assert (c.colors, c.reported_count, c.method) == ((0,) * n, 0, "complete")
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph.cycle(14), Graph.complete(4), random_2connected(40, 10, seed=3),
+         random_2connected(8, 1, seed=0)],
+        ids=["c14", "k4", "pipeline", "exact"],
+    )
+    def test_2_connected_input_is_its_own_block(self, g):
+        assert block_coloring(g) == two_connected_coloring(g)
 
 
 class TestColoringSerialization:
