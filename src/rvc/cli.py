@@ -97,7 +97,8 @@ def cmd_decompose(args) -> int:
     print(serialize_decomposition(d), end="", file=out)
     if args.format == "human":
         print(
-            "ears marked heuristic (the longest-ear search ran out of path extensions,"
+            f"initial cycle from an exhausted ear search: {'yes' if d.heuristic_cycle else 'no'};"
+            " ears marked heuristic (the longest-ear search ran out of path extensions,"
             f" so they may not be longest): {sum(e.heuristic for e in d.ears)} of {len(d.ears)}",
             file=sys.stderr,
         )

@@ -52,6 +52,7 @@ class EarDecomposition:
 
     initial_cycle: tuple[int, ...]
     ears: tuple[Ear, ...] = field(default_factory=tuple)
+    heuristic_cycle: bool = False  # the initial cycle's ear search ran out of budget
 
     @property
     def t(self) -> int:
@@ -195,11 +196,18 @@ def find_initial_cycle(g: Graph, budget: int = DEFAULT_EAR_BUDGET) -> tuple[int,
     """
     if not is_2_connected(g):
         raise PreconditionError("find_initial_cycle requires a 2-connected graph")
+    return _initial_cycle(g, budget)[0]
+
+
+def _initial_cycle(g: Graph, budget: int) -> tuple[tuple[int, ...], bool]:
+    """`find_initial_cycle` on a 2-connected g, with whether the ear that
+    split an odd depth-first cycle came from a search that ran out of
+    budget (then the cycle may differ from the one a full search gives)."""
     cyc = _dfs_cycle(g)
     if len(cyc) % 2 == 0:
-        return cyc
+        return cyc, False
     if g.m == g.n == len(cyc):
-        return cyc  # g is this odd cycle
+        return cyc, False  # g is this odd cycle
     verts = set(cyc)
     edges = set(_cycle_edges(cyc))
     ear = _longest_ear_impl(g, verts, edges, budget)
@@ -215,7 +223,7 @@ def find_initial_cycle(g: Graph, budget: int = DEFAULT_EAR_BUDGET) -> tuple[int,
         ear_path = ear.path if arc[0] == ear.a else tuple(reversed(ear.path))
         cycle_seq = arc + ear_path[-2:0:-1]
         if len(cycle_seq) % 2 == 0:
-            return cycle_seq
+            return cycle_seq, ear.heuristic
     raise AssertionError("one of the two ear cycles must be even")
 
 
@@ -224,11 +232,12 @@ def ear_decomposition(g: Graph, budget: int = DEFAULT_EAR_BUDGET) -> EarDecompos
 
     The initial cycle is even unless g itself is an odd cycle; every
     prefix is 2-connected; replaying the ears reconstructs g exactly.
-    `budget` bounds each ear search, the initial cycle's included.
+    `budget` bounds each ear search, the initial cycle's included; an
+    initial cycle whose ear search ran out sets `heuristic_cycle`.
     """
     if not is_2_connected(g):
         raise PreconditionError("ear_decomposition requires a 2-connected graph")
-    cyc = find_initial_cycle(g, budget)
+    cyc, heuristic_cycle = _initial_cycle(g, budget)
     covered_v = set(cyc)
     covered_e = set(_cycle_edges(cyc))
     ears: list[Ear] = []
@@ -243,7 +252,7 @@ def ear_decomposition(g: Graph, budget: int = DEFAULT_EAR_BUDGET) -> EarDecompos
         ears.append(ear)
         covered_v.update(ear.path)
         covered_e.update(new_edges)
-    return EarDecomposition(cyc, tuple(ears))
+    return EarDecomposition(cyc, tuple(ears), heuristic_cycle)
 
 
 def serialize_decomposition(d: EarDecomposition) -> str:

@@ -2,15 +2,16 @@
 
 Colorings are enumerated as restricted-growth strings (the first use of
 color i precedes the first use of color i+1), which removes the k!
-palette symmetry. Pruning is driven by a per-pair table of all simple
-paths: a path dies as soon as two of its colored internal vertices share a
-color, and a partial assignment is rejected the moment some pair has no
-live path left. Paths with more internal vertices than there are colors
-are dropped before the search starts, which is what makes the exhaustive
-nonexistence checks on mid-size cycles finish at desk scale. The table is
-built one source at a time: a single depth-first sweep from u lists the
-paths to every v > u at once, in the order a search for each pair alone
-would find them.
+palette symmetry. The oracle is one sweep and one loop. `_path_table`
+lists every simple path with at most k internal vertices (a longer one
+can never be rainbow with k colors) in one depth-first sweep per source,
+writing each path's id straight into the list of every vertex internal to
+it. `_search` then colors vertices in order: a path dies as soon as two
+of its internal vertices share a color, a partial assignment is rejected
+the moment some pair has no live path left, and backtracking undoes a
+vertex from the two lists of paths it changed. Dropping the long paths up
+front is what makes the exhaustive nonexistence checks on mid-size cycles
+finish at desk scale.
 """
 
 from __future__ import annotations
@@ -45,160 +46,129 @@ class OracleResult:
     nodes: int
 
 
-def _paths_from(
-    adj: list[list[int]], u: int, max_internal: int, stop: int, room: int
-) -> tuple[list[list[tuple[int, ...]]], int]:
-    """Simple paths from u with at most max_internal internal vertices,
-    listed by end vertex v for u < v < stop, from one depth-first sweep over
-    the sorted adjacency `adj`.
+def _path_table(
+    g: Graph, k: int, dist: list[list[int]]
+) -> tuple[list[list[int]], list[int]] | None:
+    """The paths a k-coloring must keep alive: `(inc, pair_of)`, or None
+    when some pair is more than k + 1 apart.
 
-    A path to v is recorded wherever the sweep stands next to v, and the
-    sweep goes on through v, so v's list holds the paths of a search for v
-    alone, in that search's order. `room` is what the path table may still
-    take, in path vertices: the sweep raises once it is used up, and
-    returns the lists with what is left. The sweep keeps each path with its
-    vertex mask and neighbour iterator on an explicit stack.
+    A path qualifies when it has at most k internal vertices. Path ids
+    count up in sweep order; `pair_of[pid]` is the `all_pairs` index of the
+    path's ends and `inc[w]` lists the ids of the paths with w internal.
+    One depth-first sweep per source u, over sorted neighbours, records a
+    path to x wherever it stands next to x > u and goes on through x, so
+    each pair's paths come in the order of a search for that pair alone.
+    The path table may take MAX_PATH_TABLE path vertices. A pair more than
+    k + 1 apart has no qualifying path, but the table is still built up to
+    that pair, because a table too large before it is reported first.
     """
-    lists: list[list[tuple[int, ...]]] = [[] for _ in adj]
-    stack = [((u,), 1 << u, iter(adj[u]))]
-    while stack:
-        path, on_path, it = stack[-1]
-        deeper = len(path) <= max_internal
-        for x in it:
-            if on_path >> x & 1:
-                continue
-            p = path + (x,)
-            if u < x < stop:
-                lists[x].append(p)
-                room -= len(p)
-                if room < 0:
-                    raise BudgetExceededError("path table too large; shrink the instance")
-            if deeper:
-                stack.append((p, on_path | 1 << x, iter(adj[x])))
-                break
-        else:
-            stack.pop()
-    return lists, room
+    n = g.n
+    far = next(((u, v) for u, v in all_pairs(n) if dist[u][v] > k + 1), None)
+    last, last_stop = far or (n - 2, n)
+    adj = [sorted(g.adj(w)) for w in range(n)]
+    inc: list[list[int]] = [[] for _ in range(n)]
+    pair_of: list[int] = []
+    room = MAX_PATH_TABLE
+    base = -1  # the pair index of (u, x) is base + x
+    for u in range(last + 1):
+        stop = last_stop if u == last else n
+        path = [u]
+        on_path = 1 << u
+        stack = [iter(adj[u])]
+        while stack:
+            for x in stack[-1]:
+                if on_path >> x & 1:
+                    continue
+                if u < x < stop:
+                    pid = len(pair_of)
+                    pair_of.append(base + x)
+                    for w in path[1:]:
+                        inc[w].append(pid)
+                    room -= len(path) + 1
+                    if room < 0:
+                        raise BudgetExceededError("path table too large; shrink the instance")
+                if len(path) <= k:
+                    path.append(x)
+                    on_path |= 1 << x
+                    stack.append(iter(adj[x]))
+                    break
+            else:
+                stack.pop()
+                on_path ^= 1 << path.pop()
+        base += n - 2 - u
+    return None if far else (inc, pair_of)
 
 
-class _FixedKSearch:
-    """Backtracking search for one coloring with exactly k colors.
+def _search(
+    g: Graph, k: int, node_budget: int, dist: list[list[int]]
+) -> tuple[list[int] | None, int]:
+    """One coloring with exactly k colors under which every pair keeps a
+    live path, or None; with the number of nodes expanded.
 
-    `dist` holds the graph's shortest-path distances. The path table is
-    built one source at a time, in `all_pairs` order.
+    Vertices 0..n-1 are colored in order, colors tried in restricted-growth
+    order. Coloring w with col kills each live path through w whose mask
+    already holds col and adds col to the mask of the others; a pair left
+    with no live path is a conflict. The stack holds, per colored vertex,
+    (its color, the colors used before it, the paths whose mask grew, the
+    paths that died), which is all it takes to undo it.
     """
-
-    def __init__(self, g: Graph, k: int, node_budget: int, dist: list[list[int]]):
-        self.g = g
-        self.k = k
-        self.node_budget = node_budget
-        self.nodes = 0
-        n = g.n
-        self.pairs = list(all_pairs(n))
-        # a path with more internal vertices than colors can never qualify,
-        # so a pair more than k + 1 apart has no usable path and no k-coloring
-        # can work; the table is still built up to that pair, because a
-        # table too large before it is reported first
-        far = next(((u, v) for u, v in self.pairs if dist[u][v] > k + 1), None)
-        self.feasible = far is None
-        last, last_stop = far or (n - 2, n)
-        adj = [sorted(g.adj(w)) for w in range(n)]
-        paths: list[tuple[int, ...]] = []
-        pair_of: list[int] = []
-        room = MAX_PATH_TABLE
-        pid = 0
-        for u in range(last + 1):
-            lists, room = _paths_from(adj, u, k, last_stop if u == last else n, room)
-            for v in range(u + 1, n):
-                paths.extend(lists[v])
-                pair_of.extend([pid] * len(lists[v]))
-                pid += 1
-        if not self.feasible:
-            return
-
-        self.pair_of = pair_of
-        self.path_mask = [0] * len(paths)
-        self.path_dead = bytearray(len(paths))
-        self.pair_alive = [0] * len(self.pairs)
-        for pid in pair_of:
-            self.pair_alive[pid] += 1
-        self.inc_internal: list[list[int]] = [[] for _ in range(n)]
-        for i, p in enumerate(paths):
-            for w in p[1:-1]:
-                self.inc_internal[w].append(i)
-        self.colors = [-1] * n
-
-    def _assign(self, w: int, col: int) -> tuple[bool, list[tuple[int, int]]]:
-        """Propagate one assignment; returns (conflict, undo frame).
-
-        Undo entries: (path_id, previous mask) for mask growth, or
-        (path_id, -1) for a path that died here.
-        """
-        bit = 1 << col
-        frame: list[tuple[int, int]] = []
-        conflict = False
-        dead = self.path_dead
-        mask = self.path_mask
-        for pid in self.inc_internal[w]:
-            if dead[pid]:
-                continue
-            m = mask[pid]
-            if m & bit:
-                dead[pid] = 1
-                frame.append((pid, -1))
-                pr = self.pair_of[pid]
-                self.pair_alive[pr] -= 1
-                if self.pair_alive[pr] == 0:
-                    conflict = True
-            else:
-                mask[pid] = m | bit
-                frame.append((pid, m))
-        return conflict, frame
-
-    def _undo(self, frame: list[tuple[int, int]]) -> None:
-        for pid, m in reversed(frame):
-            if m < 0:
-                self.path_dead[pid] = 0
-                self.pair_alive[self.pair_of[pid]] += 1
-            else:
-                self.path_mask[pid] = m
-
-    def run(self) -> list[int] | None:
-        """Color vertices 0..n-1 in order, trying colors in restricted-growth
-        order and backtracking on a conflict. The stack holds, per colored
-        vertex, (its color, the colors used before it, its undo frame)."""
-        if not self.feasible:
-            return None
-        n, k, colors = self.g.n, self.k, self.colors
-        assign, undo = self._assign, self._undo
-        stack: list[tuple[int, int, list[tuple[int, int]]]] = []
-        col = used = 0  # the next color to try at vertex len(stack); colors used before it
-        while True:
-            idx = len(stack)
-            if idx == n and used == k:
-                return list(colors)
-            # used <= k, so at idx == n the last test fails unless used == k
-            if col <= used and col < k and used + (n - idx) >= k:
-                self.nodes += 1
-                if self.nodes > self.node_budget:
-                    raise BudgetExceededError(
-                        f"exact search exceeded node budget {self.node_budget}"
-                    )
-                colors[idx] = col
-                conflict, frame = assign(idx, col)
-                if conflict:
-                    undo(frame)
-                    col += 1
+    table = _path_table(g, k, dist)
+    if table is None:
+        return None, 0
+    inc, pair_of = table
+    n = g.n
+    path_mask = [0] * len(pair_of)
+    path_dead = bytearray(len(pair_of))
+    pair_alive = [0] * (n * (n - 1) // 2)
+    for pr in pair_of:
+        pair_alive[pr] += 1
+    colors = [-1] * n
+    nodes = 0
+    stack: list[tuple[int, int, list[int], list[int]]] = []
+    col = used = 0  # the next color to try at vertex len(stack); colors used before it
+    while True:
+        idx = len(stack)
+        if idx == n and used == k:
+            return colors, nodes
+        # used <= k, so at idx == n the last test fails unless used == k
+        if col <= used and col < k and used + (n - idx) >= k:
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(f"exact search exceeded node budget {node_budget}")
+            colors[idx] = col
+            bit = 1 << col
+            grown: list[int] = []
+            died: list[int] = []
+            conflict = False
+            for pid in inc[idx]:
+                if path_dead[pid]:
+                    continue
+                if path_mask[pid] & bit:
+                    path_dead[pid] = 1
+                    died.append(pid)
+                    pr = pair_of[pid]
+                    pair_alive[pr] -= 1
+                    if pair_alive[pr] == 0:
+                        conflict = True
                 else:
-                    stack.append((col, used, frame))
-                    used += col == used
-                    col = 0
+                    path_mask[pid] |= bit
+                    grown.append(pid)
+            stack.append((col, used, grown, died))
+            if not conflict:
+                used += col == used
+                col = 0
                 continue
-            if not stack:
-                return None
-            col, used, frame = stack.pop()
-            undo(frame)
-            col += 1
+        elif not stack:
+            return None, nodes
+        # undo the top vertex (a conflict was pushed just above) and try its next color
+        col, used, grown, died = stack.pop()
+        bit = 1 << col
+        for pid in grown:
+            path_mask[pid] ^= bit
+        for pid in died:
+            path_dead[pid] = 0
+            pair_alive[pair_of[pid]] += 1
+        col += 1
 
 
 def _check_instance(
@@ -236,12 +206,11 @@ def find_rainbow_coloring(
     _check_instance(g, forbidden, budget, "find_rainbow_coloring")
     if k < 1:
         raise PreconditionError("k must be at least 1")
-    search = _FixedKSearch(g, k, budget.node_budget, _distances(g))
-    assignment = search.run()
+    assignment, nodes = _search(g, k, budget.node_budget, _distances(g))
     if assignment is None:
         return None
     witness = Coloring(tuple(assignment), reported_count=k, method="exact")
-    return witness, search.nodes
+    return witness, nodes
 
 
 def exact_rvc(
@@ -263,9 +232,8 @@ def exact_rvc(
     lb = max(max(map(max, dist)) - 1, 1)
     nodes_total = 0
     for k in range(lb, g.n + 1):
-        search = _FixedKSearch(g, k, budget.node_budget - nodes_total, dist)
-        assignment = search.run()
-        nodes_total += search.nodes
+        assignment, nodes = _search(g, k, budget.node_budget - nodes_total, dist)
+        nodes_total += nodes
         if assignment is not None:
             witness = Coloring(tuple(assignment), reported_count=k, method="exact")
             cert = verify_rainbow_vc(g, witness)

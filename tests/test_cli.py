@@ -317,6 +317,18 @@ class TestDecompose:
         code, _, err = run_cli(["--format", "structured", "decompose", path, "--ears"], capsys)
         assert code == 0 and err == ""
 
+    def test_heuristic_initial_cycle_is_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
+        from rvc import ear_decomposition, random_2connected
+
+        # the odd depth-first cycle's ear search runs out at budget 5
+        path = write_graph(tmp_path, "ears.txt", random_2connected(14, 4, seed=1, kind="ears"))
+        code, _, err = run_cli(["decompose", path, "--ears"], capsys)
+        assert code == 0 and err.startswith("initial cycle from an exhausted ear search: no;")
+        monkeypatch.setattr("rvc.cli.ear_decomposition", lambda g: ear_decomposition(g, budget=5))
+        code, out, err = run_cli(["decompose", path, "--ears"], capsys)
+        assert code == 0 and out.startswith("cycle 2 0 4 3 10 5\n")
+        assert err.count("\n") == 1 and err.startswith("initial cycle from an exhausted ear search: yes;")
+
     def test_bowtie_blocks(self, bowtie_file, capsys):
         code, out, _ = run_cli(["decompose", bowtie_file, "--blocks"], capsys)
         assert code == 0

@@ -223,6 +223,20 @@ class TestLongestEar:
         with pytest.raises(BudgetExceededError):
             ear_decomposition(g, budget=1)
 
+    def test_initial_cycle_budget_exhaustion_is_marked(self):
+        # the depth-first cycle (0, 1, 2) is odd; five path extensions find
+        # an ear that splits off an even 6-cycle but stop the search before
+        # the one that gives the 12-cycle
+        g = random_2connected(14, 4, seed=1, kind="ears")
+        assert _dfs_cycle(g) == (0, 1, 2)
+        full = ear_decomposition(g)
+        assert full.initial_cycle == find_initial_cycle(g) == (2, 0, 1, 13, 7, 8, 9, 10, 11, 12, 6, 5)
+        assert not full.heuristic_cycle
+        cut = ear_decomposition(g, budget=5)
+        assert cut.initial_cycle == find_initial_cycle(g, budget=5) == (2, 0, 4, 3, 10, 5)
+        assert cut.heuristic_cycle
+        assert cut.replay_edges() == set(g.edges)
+
 
 class TestEarSearchReference:
     """The explicit-stack ear search against the recursive reference."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from rvc import (
 from rvc import oracle
 from rvc.graph import all_pairs
 
-from .conftest import random_connected_graph
+from .conftest import naive_simple_paths, random_connected_graph
 
 
 def reference_paths(g: Graph, u: int, v: int, max_internal: int) -> list[tuple[int, ...]]:
@@ -76,34 +77,59 @@ def table_graphs():
             yield random_connected_graph(rng, n)
 
 
+def decoded_table(g: Graph, k: int) -> dict[tuple[int, int], list[set[int]]] | None:
+    """`_path_table`'s output per pair: the interior vertex sets of the
+    pair's paths in path-id order; None where the oracle gives None."""
+    table = oracle._path_table(g, k, oracle._distances(g))
+    if table is None:
+        return None
+    inc, pair_of = table
+    interiors: list[set[int]] = [set() for _ in pair_of]
+    for w, pids in enumerate(inc):
+        for pid in pids:
+            interiors[pid].add(w)
+    pairs = list(all_pairs(g.n))
+    out: dict[tuple[int, int], list[set[int]]] = {}
+    for pid, pr in enumerate(pair_of):
+        out.setdefault(pairs[pr], []).append(interiors[pid])
+    return out
+
+
 class TestPathTable:
-    """The per-source sweep against the per-pair reference enumerator."""
+    """The per-source sweep against the per-pair reference enumerator. The
+    search reads only which pair each path joins and which vertices are
+    internal to it, so the table is compared by interior sets, pair by
+    pair; how the sweep interleaves the pairs is free."""
 
     def test_lists_match_per_pair_search(self):
         for g in table_graphs():
-            adj = [sorted(g.adj(w)) for w in range(g.n)]
             for k in range(1, g.n - 1):
-                got = {}
-                for u in range(g.n - 1):
-                    lists, _ = oracle._paths_from(adj, u, k, g.n, oracle.MAX_PATH_TABLE)
-                    got.update(((u, v), lists[v]) for v in range(u + 1, g.n))
-                want = {(u, v): reference_paths(g, u, v, k) for u, v in all_pairs(g.n)}
+                got = decoded_table(g, k)
+                if got is None:
+                    continue
+                want = {
+                    (u, v): [set(p[1:-1]) for p in reference_paths(g, u, v, k)]
+                    for u, v in all_pairs(g.n)
+                }
                 assert got == want, (g, k)
 
     def test_table_order_matches(self):
         for g in table_graphs():
             dist = oracle._distances(g)
             for k in range(1, g.n - 1):
-                table = reference_table(g, k)
-                search = oracle._FixedKSearch(g, k, 10, dist)
-                assert search.feasible == (table is not None), (g, k)
+                table = oracle._path_table(g, k, dist)
+                assert (table is None) == (reference_table(g, k) is None), (g, k)
                 if table is None:
                     continue
-                paths = [p for cand in table for p in cand]
-                assert search.pair_of == [i for i, cand in enumerate(table) for _ in cand]
-                assert search.inc_internal == [
-                    [i for i, p in enumerate(paths) if w in p[1:-1]] for w in range(g.n)
-                ]
+                inc, pair_of = table
+                # each path is listed once per internal vertex, in id order,
+                # which undoing a vertex by XOR relies on
+                for pids in inc:
+                    assert pids == sorted(set(pids)), (g, k)
+                # path ids follow the sweep, source by source
+                pairs = list(all_pairs(g.n))
+                sources = [pairs[pr][0] for pr in pair_of]
+                assert sources == sorted(sources), (g, k)
 
     @staticmethod
     def outcome(run):
@@ -211,6 +237,110 @@ class TestFixedK:
             if col not in seen:
                 seen.append(col)
         assert seen == sorted(seen)
+
+
+# exact_rvc's (value, nodes, witness) with the witness's colors as digits,
+# recorded from the oracle before its path table and search became the two
+# functions `_path_table` and `_search`: a kernel that changes how the
+# table is stored or how a vertex is undone must expand the same search
+# tree and find the same witness.
+PINNED_SEARCH = {
+    "C3": (0, 0, "000"),
+    "C4": (1, 4, "0000"),
+    "C5": (1, 5, "00000"),
+    "C6": (2, 12, "000101"),
+    "C7": (3, 32, "0001021"),
+    "C8": (3, 30, "01012012"),
+    "C9": (3, 18, "012012012"),
+    "C10": (4, 51, "0120130123"),
+    "C11": (5, 115, "01201301243"),
+    "C12": (5, 63, "012301420134"),
+    "C13": (6, 166, "0123014201354"),
+    "C14": (7, 1051, "01230142013564"),
+    "C15": (7, 1250, "012340516203456"),
+    "C16": (8, 5499, "0123405162034576"),
+    "R0": (3, 13, "00100121"),
+    "R1": (3, 15, "012000120"),
+    "R2": (3, 14, "0001001002"),
+    "R3": (3, 18, "00000120112"),
+    "R4": (5, 28, "010012300234"),
+    "R5": (2, 10, "00000011"),
+    "R6": (2, 11, "001000010"),
+    "R7": (2, 15, "0000010011"),
+    "R8": (4, 24, "01230120130"),
+    "R9": (5, 27, "000102300234"),
+    "R10": (2, 10, "00000110"),
+    "R11": (2, 10, "000000010"),
+    "R12": (4, 138, "0101201032"),
+    "R13": (3, 16, "00000102002"),
+    "R14": (4, 24, "001230000123"),
+    "R15": (2, 9, "00000010"),
+    "R16": (3, 15, "001200012"),
+    "R17": (2, 11, "0010000000"),
+    "R18": (3, 17, "01200000120"),
+    "R19": (3, 16, "000001001020"),
+    "R20": (3, 11, "00001002"),
+    "R21": (3, 16, "000101212"),
+    "R22": (3, 43, "0001012211"),
+    "R23": (3, 17, "01000002102"),
+    "R24": (5, 26, "010001230034"),
+    "R25": (2, 10, "00000110"),
+    "R26": (3, 12, "000000012"),
+    "R27": (2, 12, "0010001000"),
+    "R28": (4, 26, "01230013203"),
+    "R29": (4, 20, "000012200300"),
+}
+
+
+def pinned_graphs():
+    for n in range(3, 17):
+        yield f"C{n}", Graph.cycle(n)
+    for i in range(30):
+        kind = "ears" if i % 2 else "hamilton"
+        yield f"R{i}", random_2connected(8 + i % 5, 1 + i % 4, seed=2200 + i, kind=kind)
+
+
+def naive_rvc(g: Graph) -> int:
+    """The least k for which some assignment of k colors gives every pair a
+    path with distinct internal colors, trying every assignment in turn
+    and every path from conftest's brute-force enumerator."""
+    if g.is_complete():
+        return 0
+    interiors = [
+        [p[1:-1] for p in naive_simple_paths(g, u, v)] for u, v in all_pairs(g.n)
+    ]
+    for k in range(1, g.n + 1):
+        for colors in itertools.product(range(k), repeat=g.n):
+            if all(
+                any(len({colors[w] for w in inner}) == len(inner) for inner in pair)
+                for pair in interiors
+            ):
+                return k
+    raise AssertionError("n colors always suffice")
+
+
+class TestSearchTree:
+    def test_exact_results_are_pinned(self):
+        budget = SearchBudget(max_vertices=16)
+        got = {}
+        for name, g in pinned_graphs():
+            r = exact_rvc(g, budget=budget)
+            got[name] = (r.value, r.nodes, "".join(map(str, r.witness.colors)))
+        assert got == PINNED_SEARCH
+
+    def test_value_matches_naive_enumeration(self):
+        # half dense, half a random tree plus up to two edges, so that the
+        # values spread up to n - 2
+        rng = random.Random(22)
+        for i in range(40):
+            n = rng.randint(4, 7)
+            if i % 2:
+                g = random_connected_graph(rng, n)
+            else:
+                edges = {(rng.randrange(v), v) for v in range(1, n)}
+                edges.update(rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(0, 2)))
+                g = Graph(n, edges)
+            assert exact_rvc(g).value == naive_rvc(g), g
 
 
 class TestReferenceTable:

@@ -511,9 +511,7 @@ class TestDeepWalks:
         h = random_2connected(12, 4, seed=5, kind="ears")
         cyc = decompose._dfs_cycle(h)
         walks = {
-            "_paths_from": lambda: [
-                oracle._paths_from(adj, u, 8, g.n, oracle.MAX_PATH_TABLE) for u in range(15)
-            ],
+            "_path_table": lambda: oracle._path_table(g, 8, oracle._distances(g)),
             "_witness_paths": lambda: [
                 _witness_paths(adj, colors, u, range(u + 1, g.n), 0, 10**6) for u in range(15)
             ],
