@@ -17,8 +17,9 @@ from .errors import (
     PreconditionError,
     SearchInconclusiveError,
 )
-from .graph import Graph, block_decomposition, diameter, is_2_connected, is_connected
+from .graph import Graph, _bfs_dist, block_decomposition, is_2_connected, is_connected
 from .verify import (
+    _reaches_all_from,
     color_stats,
     has_color_avoiding_connectivity,
     verify_rainbow_vc,
@@ -225,6 +226,26 @@ def _star_placement_candidates(
     return order
 
 
+def _gate(g: Graph, host: list[int], out: list[int], host_verified: bool) -> bool:
+    """Whether the extension `out` of the host coloring verifies on g.
+
+    When the host coloring is known to verify on the host graph, and the
+    host vertices the extension recolors take pairwise distinct colors
+    that no other host vertex carries, every host pair keeps its old
+    rainbow path; only the pairs with an ear interior vertex (ids
+    len(host) and up) need a search. Otherwise the whole graph is verified.
+    """
+    h = len(host)
+    if host_verified:
+        recolored = [v for v in range(h) if out[v] != host[v]]
+        new = {out[v] for v in recolored}
+        if len(new) == len(recolored) and new.isdisjoint(
+            out[v] for v in range(h) if out[v] == host[v]
+        ):
+            return _reaches_all_from(g, out, range(h, g.n))
+    return verify_rainbow_vc(g, out).verified
+
+
 def _extension_options(
     colors: list[int],
     ear_path: tuple[int, ...],
@@ -232,22 +253,25 @@ def _extension_options(
     verdicts: dict[tuple, bool],
     star_target: int | None = None,
     avoid_vertices: frozenset[int] = frozenset(),
+    host_verified: bool = False,
 ):
     """Yield verified balanced extensions of the host coloring across one ear.
 
     Vertices carry prefix ids: the host is 0..len(colors)-1, the ear's
     interior continues the numbering, and g is the host plus the ear. Each
     yielded item is the extended color list. An extension qualifies when it
-    verifies revised-rainbow and, if star_target is given, the
-    color-avoiding property holds there. For odd extended order the
-    singleton placement ranges over the ear (prescribed position first);
-    vertices in avoid_vertices never receive the singleton (a chain uses
-    this to keep the once-used color off the next ear's attachment points).
-    The even case has no free choice, so at most one extension is yielded.
-    verdicts caches the verification verdict per extended coloring, and the
-    avoiding verdict under (coloring, star_target); a chain shares one cache
-    across its ears, since a coloring's length fixes g and the coloring
-    fixes its once-used color.
+    passes `_gate` and, if star_target is given, the color-avoiding
+    property holds there. host_verified says that the host coloring
+    verifies on the host graph, which lets the gate search only from the
+    ear's interior; its verdict is then the full verifier's. For odd
+    extended order the singleton placement ranges over the ear (prescribed
+    position first); vertices in avoid_vertices never receive the
+    singleton (a chain uses this to keep the once-used color off the next
+    ear's attachment points). The even case has no free choice, so at most
+    one extension is yielded. verdicts caches the verification verdict per
+    extended coloring, and the avoiding verdict under (coloring,
+    star_target); a chain shares one cache across its ears, since a
+    coloring's length fixes g and the coloring fixes its once-used color.
     """
     x = _check_balanced_precondition(colors)
     s = len(ear_path)
@@ -264,7 +288,7 @@ def _extension_options(
         out = _apply_balanced(colors, ear_path, x, placement)
         key = tuple(out)
         if key not in verdicts:
-            verdicts[key] = verify_rainbow_vc(g, out).verified
+            verdicts[key] = _gate(g, colors, out, host_verified)
         if not verdicts[key]:
             continue
         if star_target is not None:
@@ -419,9 +443,14 @@ def _balanced_chain(
         # fallback since every extension is verified anyway
         for oriented in (path, path[::-1]):
             for star, avoid, flip_next in plans:
-                for out in _extension_options(colors, oriented, graphs[idx], verdicts, star, avoid):
+                for out in _extension_options(
+                    colors, oriented, graphs[idx], verdicts, star, avoid, host_verified=True
+                ):
                     yield out, (nxt[::-1] if flip_next else nxt)
 
+    # every host verifies: later ones passed their gate, and on the base
+    # cycle the shorter arc between two vertices has at most n0/2 - 1
+    # consecutive internal vertices, which i mod n0/2 colors distinctly
     colors = [i % ((n0 + 1) // 2) for i in range(n0)]
     if not paths:
         return dict(zip(order, colors))
@@ -582,9 +611,10 @@ def two_connected_coloring(g: Graph) -> Coloring:
     ears of length >= 5; explicit rules for ears of length 2..4; chords
     need no colors of their own. Complete graphs, cycles and diameter-2
     graphs take their direct colorings, and small orders the pipeline
-    cannot serve fall back to the exact search. Every result is verified
-    on g once before it is returned; a failing check raises
-    ConstructionError.
+    cannot serve fall back to the exact search. The diameter-2 test runs
+    one breadth-first search per vertex and stops at the first vertex
+    with another more than 2 away. Every result is verified on g once
+    before it is returned; a failing check raises ConstructionError.
     """
     if not is_2_connected(g):
         raise PreconditionError("two_connected_coloring requires a 2-connected graph")
@@ -598,7 +628,7 @@ def two_connected_coloring(g: Graph) -> Coloring:
         for pos, v in enumerate(order):
             flat[v] = pattern.colors[pos]
         return _verified(g, Coloring(tuple(flat), pattern.reported_count, method="cycle"))
-    if diameter(g) == 2:
+    if all(max(_bfs_dist(g, s)) <= 2 for s in range(n)):
         # a non-adjacent pair has a common neighbour, its path's only internal vertex
         return _verified(g, Coloring((0,) * n, reported_count=1, method="two-connected"))
     attempt = _two_connected_pipeline(g)

@@ -124,10 +124,15 @@ def _longest_ear_impl(
     heuristic flag, and exhaustion before any ear was found raises. The
     walk keeps one iterator over sorted neighbours per path vertex on an
     explicit stack, so an ear's length is not bounded by the recursion
-    limit. Chords (length-1 ears) cost no budget; they are looked for only
-    when the walk found no longer ear.
+    limit. Roots ascend and neighbours are taken in ascending order, so
+    ears are met in lexicographic order; no ear has more interior vertices
+    than the graph has outside h, so the first ear through all of them is
+    the answer and the walk stops there, never marking it heuristic.
+    Chords (length-1 ears) cost no budget; they are looked for only when
+    the walk found no longer ear.
     """
     best: tuple[int, ...] = ()  # its key (0, ()) sorts after every (-len(ear), ear)
+    longest = g.n - len(h_vertices) + 2  # vertices on an ear through every fresh one
     nodes = 0
     exhausted = False
     for a in sorted(h_vertices):
@@ -141,6 +146,8 @@ def _longest_ear_impl(
                         ear = (*path, w)
                         if (-len(ear), ear) < (-len(best), best):
                             best = ear
+                            if len(ear) == longest:
+                                return Ear(ear)
                     continue
                 if w in on_path:
                     continue
@@ -233,7 +240,10 @@ def ear_decomposition(g: Graph, budget: int = DEFAULT_EAR_BUDGET) -> EarDecompos
     The initial cycle is even unless g itself is an odd cycle; every
     prefix is 2-connected; replaying the ears reconstructs g exactly.
     `budget` bounds each ear search, the initial cycle's included; an
-    initial cycle whose ear search ran out sets `heuristic_cycle`.
+    initial cycle whose ear search ran out sets `heuristic_cycle`. Once
+    every vertex is covered, a search would return the smallest uncovered
+    edge, so the remaining edges follow in ascending order as chords,
+    with no search.
     """
     if not is_2_connected(g):
         raise PreconditionError("ear_decomposition requires a 2-connected graph")
@@ -241,8 +251,7 @@ def ear_decomposition(g: Graph, budget: int = DEFAULT_EAR_BUDGET) -> EarDecompos
     covered_v = set(cyc)
     covered_e = set(_cycle_edges(cyc))
     ears: list[Ear] = []
-    target_edges = set(g.edges)
-    while covered_e != target_edges:
+    while len(covered_v) < g.n:
         ear = _longest_ear_impl(g, covered_v, covered_e, budget)
         if ear is None:
             raise AssertionError("uncovered edges remain but no ear was found")
@@ -252,6 +261,7 @@ def ear_decomposition(g: Graph, budget: int = DEFAULT_EAR_BUDGET) -> EarDecompos
         ears.append(ear)
         covered_v.update(ear.path)
         covered_e.update(new_edges)
+    ears.extend(Ear(chord) for chord in sorted(g.edges - covered_e))
     return EarDecomposition(cyc, tuple(ears), heuristic_cycle)
 
 

@@ -126,12 +126,24 @@ def exists_rainbow_path(
         raise PreconditionError("exists_rainbow_path requires distinct endpoints")
     colors, block = _dense_colors(_colors_of(c), forbidden)
     budget = node_budget if node_budget is not None else node_budget_default()
-    adj = [sorted(g.adj(w)) for w in range(g.n)]
-    return _witness_paths(adj, colors, u, (v,), block, budget)[v]
+    return _witness_paths(_SortedAdjacency(g), colors, u, (v,), block, budget)[v]
+
+
+class _SortedAdjacency(dict):
+    """Sorted neighbour lists of g, each sorted on its first lookup, so a
+    walk pays only for the vertices it enters."""
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, x: int) -> list[int]:
+        self[x] = nbrs = sorted(self.g.adj(x))
+        return nbrs
 
 
 def _witness_paths(
-    adj: list[list[int]],
+    adj: Sequence[list[int]] | dict[int, list[int]],
     colors: Sequence[int],
     u: int,
     targets: Sequence[int],
@@ -294,6 +306,23 @@ def _unreached(
             masks.append(grown)
             queue.append((y, grown))
     return unreached | pending
+
+
+def _reaches_all_from(g: Graph, colors: Sequence[int], sources) -> bool:
+    """True iff a rainbow path joins each of `sources` to every other vertex.
+
+    Each source runs `_unreached`, the search `verify_rainbow_vc` runs per
+    source, under the same per-source budget, against every vertex but
+    itself and the sources searched before it.
+    """
+    colors, _ = _dense_colors(colors, None)
+    budget = node_budget_default()
+    done = set()
+    for u in sources:
+        done.add(u)
+        if _unreached(g, colors, u, [t for t in range(g.n) if t not in done], 0, budget):
+            return False
+    return True
 
 
 def verify_rainbow_vc(

@@ -305,15 +305,18 @@ class TestDecompose:
     def test_heuristic_ears_are_counted_on_stderr(self, tmp_path, capsys, monkeypatch):
         from rvc import attach_ear, ear_decomposition
 
+        # an ear through every fresh vertex is proved longest, so the theta
+        # graph gets a second ear: the first search leaves vertex 8 out
         g, _ = attach_ear(Graph.cycle(6), 0, 3, 2)
+        g, _ = attach_ear(g, 1, 4, 1)
         path = write_graph(tmp_path, "theta.txt", g)
         code, _, err = run_cli(["decompose", path, "--ears"], capsys)
-        assert code == 0 and err.endswith("may not be longest): 0 of 1\n")
+        assert code == 0 and err.endswith("may not be longest): 0 of 2\n")
         # two path extensions find the ear but stop the search for a longer one
         monkeypatch.setattr("rvc.cli.ear_decomposition", lambda g: ear_decomposition(g, budget=2))
         code, out, err = run_cli(["decompose", path, "--ears"], capsys)
-        assert code == 0 and out.count("ear ") == 1
-        assert err.count("\n") == 1 and err.endswith("may not be longest): 1 of 1\n")
+        assert code == 0 and out.count("ear ") == 2 and "ear 0 6 7 3 length 3\n" in out
+        assert err.count("\n") == 1 and err.endswith("may not be longest): 1 of 2\n")
         code, _, err = run_cli(["--format", "structured", "decompose", path, "--ears"], capsys)
         assert code == 0 and err == ""
 

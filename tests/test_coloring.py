@@ -23,6 +23,7 @@ from rvc import (
     color_stats,
     cycle_coloring,
     cycle_rvc_value,
+    diameter,
     ear_decomposition,
     find_rainbow_coloring,
     has_color_avoiding_connectivity,
@@ -33,8 +34,9 @@ from rvc import (
     two_connected_coloring,
     verify_rainbow_vc,
 )
-from rvc.coloring import SMALL_CYCLE_COLORINGS
+from rvc.coloring import SMALL_CYCLE_COLORINGS, _gate
 from rvc.decompose import Ear
+from rvc.verify import _reaches_all_from
 
 from .test_acceptance import _chain_instance
 
@@ -216,14 +218,14 @@ class TestBalancedChain:
             balanced_chain_coloring(n0, ears, final_target=target)
 
     def test_each_candidate_is_verified_once(self, monkeypatch):
+        # counted at the gate, which runs either the full or the interior-only check
         calls = Counter()
-        gate = verify_rainbow_vc
 
-        def counting(g, colors, *args):
-            calls[g.n, tuple(colors)] += 1
-            return gate(g, colors, *args)
+        def counting(g, host, out, host_verified):
+            calls[g.n, tuple(out)] += 1
+            return _gate(g, host, out, host_verified)
 
-        monkeypatch.setattr("rvc.coloring.verify_rainbow_vc", counting)
+        monkeypatch.setattr("rvc.coloring._gate", counting)
         n0, ears, target, _ = _chain_instance(108)
         with pytest.raises(ConstructionError):
             balanced_chain_coloring(n0, ears, final_target=target)
@@ -255,6 +257,54 @@ class TestBalancedChain:
         finally:
             sys.setrecursionlimit(limit)
         assert g.n == n and verify_rainbow_vc(g, c).verified
+
+
+class TestInteriorOnlyGates:
+    """A gate whose recolored host vertices keep host pairs intact searches
+    only from the new ear's interior; its verdict is the full verifier's."""
+
+    @staticmethod
+    def color_shaped_graphs():
+        # the 2-connected cells of perfbench's color rounds
+        cells = [(40, 4), (42, 4), (44, 4), (64, 10)]
+        for i in range(50):
+            n, div = cells[i % 4]
+            yield random_2connected(n, n // div, seed=900 + i, kind=("hamilton", "ears")[i // 4 % 2])
+
+    def test_interior_only_verdicts_match_full_verification(self, monkeypatch):
+        gates = 0
+        verdicts = Counter()
+
+        def counting_gate(*args):
+            nonlocal gates
+            gates += 1
+            return _gate(*args)
+
+        def checked(g, colors, sources):
+            got = _reaches_all_from(g, colors, sources)
+            assert got == verify_rainbow_vc(g, colors).verified, (g, colors)
+            verdicts[got] += 1
+            return got
+
+        monkeypatch.setattr("rvc.coloring._gate", counting_gate)
+        monkeypatch.setattr("rvc.coloring._reaches_all_from", checked)
+        for seed in range(220):
+            n0, ears, target, _ = _chain_instance(seed)
+            try:
+                balanced_chain_coloring(n0, ears, final_target=target)
+            except (ConstructionError, SearchInconclusiveError):
+                pass
+        for g in self.color_shaped_graphs():
+            two_connected_coloring(g)
+        interior_only = sum(verdicts.values())
+        print(f"interior-only gates: {interior_only} of {gates}"
+              f" ({verdicts[True]} passed, {verdicts[False]} failed)")
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_base_cycle_pattern_verifies(self):
+        # the first gate's host: i mod n0/2 on the even base cycle
+        for n0 in range(4, 65, 2):
+            assert verify_rainbow_vc(Graph.cycle(n0), [i % (n0 // 2) for i in range(n0)]).verified
 
 
 class TestLongEarColoring:
@@ -433,6 +483,40 @@ class TestTwoConnected:
         c = two_connected_coloring(g)
         assert (c.colors, c.reported_count, c.method) == ((0,) * g.n, 1, "two-connected")
         assert verify_rainbow_vc(g, c).verified
+
+    def test_diameter_2_shortcut_agrees_with_diameter(self, monkeypatch):
+        # the shortcut stops at the first vertex with a distance above 2;
+        # whether it is taken must still be whether the diameter is 2
+        class Pipeline(Exception):
+            pass
+
+        def pipeline(g):
+            raise Pipeline
+
+        monkeypatch.setattr("rvc.coloring._two_connected_pipeline", pipeline)
+        rng = random.Random(29)
+        graphs = [Graph(r + 1, [(0, i) for i in range(1, r + 1)] + [(i, i % r + 1) for i in range(1, r + 1)])
+                  for r in range(4, 24)]
+        graphs += [Graph(n, set(Graph.complete(n).edges) - {(0, n - 1)}) for n in range(4, 24)]
+        for n in range(6, 26):
+            # a clique on all but two vertices, which are 3 apart: the only far pair
+            perm = rng.sample(range(n), n)
+            edges = [(0, 1), (0, 2), (n - 1, n - 3), (n - 1, n - 2)] + list(combinations(range(1, n - 1), 2))
+            graphs.append(Graph(n, [(perm[u], perm[v]) for u, v in edges]))
+        for i in range(140):
+            n = rng.randint(8, 30)
+            dense = i % 2 == 0
+            extra = rng.randint(n * (n - 3) // 4, n * (n - 3) // 2 - n) if dense else rng.randint(1, n)
+            graphs.append(random_2connected(n, extra, seed=1000 + i, kind=("hamilton", "ears")[i // 2 % 2]))
+        taken = Counter()
+        for g in graphs:
+            try:
+                shortcut = two_connected_coloring(g).colors == (0,) * g.n
+            except Pipeline:
+                shortcut = False
+            assert shortcut == (diameter(g) == 2), g
+            taken[shortcut] += 1
+        assert len(graphs) == 200 and taken[True] > 50 and taken[False] > 50
 
     BRANCHES = {
         "cycle": (lambda: Graph.cycle(14), "cycle", False),

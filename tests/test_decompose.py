@@ -46,20 +46,22 @@ def brute_force_ears(g: Graph, h_vertices, h_edges):
 
 def reference_longest_ear(g: Graph, h_vertices, h_edges, budget: int) -> Ear | None:
     """`_longest_ear_impl` as a recursive depth-first search, one call per
-    path vertex: the ear search before its walk kept an explicit stack."""
+    path vertex: the ear search before its walk kept an explicit stack. It
+    stops, as that search does, at the first ear through every vertex
+    outside the host."""
     best = None
     nodes = 0
     exhausted = False
+    longest = g.n - len(h_vertices) + 2
 
     def consider(path):
         nonlocal best
-        if best is None:
-            best = path
-            return
-        if len(path) > len(best) or (len(path) == len(best) and path < best):
+        if best is None or len(path) > len(best) or (len(path) == len(best) and path < best):
             best = path
 
     for a in sorted(h_vertices):
+        if best is not None and len(best) == longest:
+            break
         for b in sorted(g.adj(a)):
             if b in h_vertices and b != a and _norm(a, b) not in h_edges:
                 consider((a, b))
@@ -71,7 +73,7 @@ def reference_longest_ear(g: Graph, h_vertices, h_edges, budget: int) -> Ear | N
             if exhausted:
                 return
             for w in sorted(g.adj(u)):
-                if exhausted:
+                if exhausted or len(best or ()) == longest:
                     return
                 if w in h_vertices:
                     if w != a and len(path) >= 2:
@@ -269,6 +271,24 @@ class TestEarSearchReference:
                         break
         assert hosts > 30
 
+    def test_ears_through_every_fresh_vertex_are_never_heuristic(self):
+        # at every budget, an ear holding every vertex outside the host is
+        # the full search's answer, so it carries no heuristic flag
+        rng = random.Random(19)
+        full = 0
+        for i in range(30):
+            n = rng.randint(5, 12)
+            g = random_2connected(n, rng.randint(1, n // 2), seed=600 + i,
+                                  kind=rng.choice(["hamilton", "ears"]))
+            for h_vertices, h_edges in ear_search_hosts(g):
+                unbudgeted = _longest_ear_impl(g, h_vertices, h_edges, 10**6)
+                for budget in range(1, 3 * g.n):
+                    ear = self.outcome(_longest_ear_impl, g, h_vertices, h_edges, budget)
+                    if isinstance(ear, Ear) and len(ear.path) == g.n - len(h_vertices) + 2:
+                        full += 1
+                        assert not ear.heuristic and ear == unbudgeted
+        assert full > 100
+
     def test_unbudgeted_search_matches(self):
         rng = random.Random(18)
         for i in range(20):
@@ -338,6 +358,28 @@ class TestEarDecomposition:
                 assert ear.path == expected and not ear.heuristic
                 covered.update(ear.path)
                 edges.update((min(x, y), max(x, y)) for x, y in zip(ear.path, ear.path[1:]))
+
+    def test_trailing_chords_match_the_ear_search(self):
+        # once every vertex is covered the chords are appended unsearched;
+        # searching for each of them, as before, gives the same ears
+        rng = random.Random(23)
+        chords = 0
+        for i in range(40):
+            n = rng.randint(6, 30)
+            g = random_2connected(n, rng.randint(0, n), seed=700 + i,
+                                  kind=rng.choice(["hamilton", "ears"]))
+            d = ear_decomposition(g)
+            covered = set(d.initial_cycle)
+            edges = set(_cycle_edges(d.initial_cycle))
+            searched = []
+            while edges != set(g.edges):
+                ear = _longest_ear_impl(g, covered, edges, 10**6)
+                searched.append(ear)
+                covered.update(ear.path)
+                edges.update((min(x, y), max(x, y)) for x, y in zip(ear.path, ear.path[1:]))
+            assert list(d.ears) == searched
+            chords += sum(ear.length == 1 for ear in searched)
+        assert chords > 100
 
     def test_rejects_non_2connected(self, bowtie):
         with pytest.raises(PreconditionError):

@@ -23,7 +23,7 @@ from rvc import (
 )
 from rvc import decompose, oracle
 from rvc.graph import all_pairs
-from rvc.verify import _witness_paths
+from rvc.verify import _dense_colors, _SortedAdjacency, _witness_paths
 
 from .conftest import naive_simple_paths, random_connected_graph
 
@@ -154,6 +154,29 @@ class TestExistsPath:
                         except SearchInconclusiveError as err:
                             outcomes.append(str(err))
                     assert outcomes[0] == outcomes[1], (g, colors, u, v)
+
+    def test_lazy_adjacency_gives_the_eagerly_sorted_paths(self):
+        # every pair, against the walk over an adjacency sorted up front
+        rng = random.Random(31)
+        for i in range(40):
+            n = rng.randint(6, 14)
+            g = random_2connected(n, rng.randint(0, n), seed=1100 + i,
+                                  kind=rng.choice(["hamilton", "ears"]))
+            colors = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+            forbidden = rng.choice([None, 0])
+            dense, block = _dense_colors(colors, forbidden)
+            adj = [sorted(g.adj(w)) for w in range(n)]
+            for u in range(n):
+                for v in range(n):
+                    if u != v:
+                        want = _witness_paths(adj, dense, u, (v,), block, 10**6)[v]
+                        assert exists_rainbow_path(g, colors, u, v, forbidden) == want
+
+    def test_only_entered_vertices_are_sorted(self):
+        g = Graph.cycle(2100)
+        adj = _SortedAdjacency(g)
+        found = _witness_paths(adj, cycle_coloring(2100).colors, 0, (3,), 0, 10**6)
+        assert found == {3: (0, 1, 2, 3)} and sorted(adj) == [0, 1, 2]
 
     def test_matches_naive_enumeration(self):
         rng = random.Random(6)
