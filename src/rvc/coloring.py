@@ -19,9 +19,11 @@ from .errors import (
 )
 from .graph import Graph, _bfs_dist, block_decomposition, is_2_connected, is_connected
 from .verify import (
-    _reaches_all_from,
+    _dense_colors,
+    _first_failure,
     color_stats,
     has_color_avoiding_connectivity,
+    node_budget_default,
     verify_rainbow_vc,
 )
 
@@ -226,24 +228,23 @@ def _star_placement_candidates(
     return order
 
 
-def _gate(g: Graph, host: list[int], out: list[int], host_verified: bool) -> bool:
-    """Whether the extension `out` of the host coloring verifies on g.
+def _gate(g: Graph, host: list[int], out: list[int]) -> bool:
+    """Whether the extension `out` of the host coloring verifies on g,
+    given that the host coloring verifies on the host graph.
 
-    When the host coloring is known to verify on the host graph, and the
-    host vertices the extension recolors take pairwise distinct colors
-    that no other host vertex carries, every host pair keeps its old
-    rainbow path; only the pairs with an ear interior vertex (ids
-    len(host) and up) need a search. Otherwise the whole graph is verified.
+    When the host vertices the extension recolors take pairwise distinct
+    colors that no other host vertex carries, every host pair keeps its old
+    rainbow path, so the verifier's loop runs only from the ear's interior
+    (ids len(host) and up); otherwise it runs from every vertex.
     """
     h = len(host)
-    if host_verified:
-        recolored = [v for v in range(h) if out[v] != host[v]]
-        new = {out[v] for v in recolored}
-        if len(new) == len(recolored) and new.isdisjoint(
-            out[v] for v in range(h) if out[v] == host[v]
-        ):
-            return _reaches_all_from(g, out, range(h, g.n))
-    return verify_rainbow_vc(g, out).verified
+    recolored = [v for v in range(h) if out[v] != host[v]]
+    new = {out[v] for v in recolored}
+    intact = len(new) == len(recolored) and new.isdisjoint(
+        out[v] for v in range(h) if out[v] == host[v]
+    )
+    colors, _ = _dense_colors(out, None)
+    return _first_failure(g, colors, 0, node_budget_default(), h if intact else 0) is None
 
 
 def _extension_options(
@@ -253,7 +254,6 @@ def _extension_options(
     verdicts: dict[tuple, bool],
     star_target: int | None = None,
     avoid_vertices: frozenset[int] = frozenset(),
-    host_verified: bool = False,
 ):
     """Yield verified balanced extensions of the host coloring across one ear.
 
@@ -261,9 +261,8 @@ def _extension_options(
     interior continues the numbering, and g is the host plus the ear. Each
     yielded item is the extended color list. An extension qualifies when it
     passes `_gate` and, if star_target is given, the color-avoiding
-    property holds there. host_verified says that the host coloring
-    verifies on the host graph, which lets the gate search only from the
-    ear's interior; its verdict is then the full verifier's. For odd
+    property holds there; the host coloring must verify on the host graph,
+    which is what lets the gate search only from the ear's interior. For odd
     extended order the singleton placement ranges over the ear (prescribed
     position first); vertices in avoid_vertices never receive the
     singleton (a chain uses this to keep the once-used color off the next
@@ -288,7 +287,7 @@ def _extension_options(
         out = _apply_balanced(colors, ear_path, x, placement)
         key = tuple(out)
         if key not in verdicts:
-            verdicts[key] = _gate(g, colors, out, host_verified)
+            verdicts[key] = _gate(g, colors, out)
         if not verdicts[key]:
             continue
         if star_target is not None:
@@ -322,12 +321,13 @@ def balanced_coloring(
 ) -> Coloring:
     """Extend a half-order revised rainbow coloring of h across the ear p.
 
-    The ear's interior ids must continue h's id space densely (use
-    attach_ear to build such instances). When the extended order is odd and
-    star_target is given, the once-used color is placed so every vertex not
-    carrying it stays reachable from star_target by a revised rainbow path
-    avoiding it. For an odd-order host, the once-used color must not sit on
-    the ear's first attachment p.a.
+    The host coloring must verify on h: a pair it fails raises
+    PreconditionError. The ear's interior ids must continue h's id space
+    densely (use attach_ear to build such instances). When the extended
+    order is odd and star_target is given, the once-used color is placed so
+    every vertex not carrying it stays reachable from star_target by a
+    revised rainbow path avoiding it. For an odd-order host, the once-used
+    color must not sit on the ear's first attachment p.a.
     """
     s = len(p.path)
     if s < 6:
@@ -353,6 +353,9 @@ def balanced_coloring(
         raise PreconditionError(
             "the once-used color must differ from the first attachment's color"
         )
+    cert = verify_rainbow_vc(h, colors)
+    if not cert.verified:
+        raise PreconditionError(f"host coloring fails on the host at pair {cert.failing_pair}")
     g2 = Graph(n2, [*h.edges, *_path_edges(p.path)])
     out = next(_extension_options(colors, p.path, g2, {}, star_target), None)
     if out is None:
@@ -443,9 +446,7 @@ def _balanced_chain(
         # fallback since every extension is verified anyway
         for oriented in (path, path[::-1]):
             for star, avoid, flip_next in plans:
-                for out in _extension_options(
-                    colors, oriented, graphs[idx], verdicts, star, avoid, host_verified=True
-                ):
+                for out in _extension_options(colors, oriented, graphs[idx], verdicts, star, avoid):
                     yield out, (nxt[::-1] if flip_next else nxt)
 
     # every host verifies: later ones passed their gate, and on the base

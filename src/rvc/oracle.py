@@ -171,16 +171,11 @@ def _search(
         col += 1
 
 
-def _check_instance(
-    g: Graph, forbidden: int | None, budget: SearchBudget, caller: str
-) -> None:
-    """Refuse what the exact search cannot decide: a disconnected graph, a
-    forbidden color (the path table does not ban colors, so it would go
-    unheeded) and an instance over the budget's vertex count."""
+def _check_instance(g: Graph, budget: SearchBudget, caller: str) -> None:
+    """Refuse what the exact search cannot decide: a disconnected graph and
+    an instance over the budget's vertex count."""
     if not is_connected(g):
         raise PreconditionError(f"{caller} requires a connected graph")
-    if forbidden is not None:
-        raise PreconditionError("the exact search does not support a forbidden color")
     if g.n > budget.max_vertices:
         raise BudgetExceededError(
             f"instance has {g.n} vertices, over the budget of {budget.max_vertices}; "
@@ -195,7 +190,7 @@ def _distances(g: Graph) -> list[list[int]]:
 def find_rainbow_coloring(
     g: Graph,
     k: int,
-    forbidden: int | None = None,
+    *,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> tuple[Coloring, int] | None:
     """Exhaustive search for a coloring with exactly k colors that verifies.
@@ -203,7 +198,7 @@ def find_rainbow_coloring(
     Returns (coloring, nodes expanded) or None; None is a proof that no
     such coloring exists.
     """
-    _check_instance(g, forbidden, budget, "find_rainbow_coloring")
+    _check_instance(g, budget, "find_rainbow_coloring")
     if k < 1:
         raise PreconditionError("k must be at least 1")
     assignment, nodes = _search(g, k, budget.node_budget, _distances(g))
@@ -213,18 +208,14 @@ def find_rainbow_coloring(
     return witness, nodes
 
 
-def exact_rvc(
-    g: Graph,
-    forbidden: int | None = None,
-    budget: SearchBudget = DEFAULT_BUDGET,
-) -> OracleResult:
+def exact_rvc(g: Graph, *, budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
     """Minimum k such that some k-coloring passes the verifier.
 
     Complete graphs report 0 by convention. Enumeration starts at the
     diameter lower bound and increases, so the first witness found is
     optimal; the witness is re-verified before being returned.
     """
-    _check_instance(g, forbidden, budget, "exact_rvc")
+    _check_instance(g, budget, "exact_rvc")
     if g.is_complete():
         witness = Coloring((0,) * g.n, reported_count=0, method="exact")
         return OracleResult(0, witness, 0)
@@ -290,39 +281,23 @@ def random_2connected(
     """
     if n < 3:
         raise PreconditionError("a 2-connected graph needs at least 3 vertices")
-    rng = random.Random(seed)
-    if kind == "hamilton":
-        edges = {(i, (i + 1) % n) for i in range(n)}
-        edges = {(min(u, v), max(u, v)) for u, v in edges}
-        pool = [e for e in combinations(range(n), 2) if e not in edges]
-        if extra_edges > len(pool):
-            raise PreconditionError(
-                f"{extra_edges} chords requested but only {len(pool)} available"
-            )
-        edges.update(rng.sample(pool, extra_edges))
-        g = Graph(n, edges)
-    elif kind == "ears":
-        base = rng.randint(3, n)
-        edges = {(i, (i + 1) % base) for i in range(base)}
-        edges = {(min(u, v), max(u, v)) for u, v in edges}
-        covered = base
-        while covered < n:
-            interior = rng.randint(1, n - covered)
-            a, b = rng.sample(range(covered), 2)
-            path = [a] + list(range(covered, covered + interior)) + [b]
-            edges.update(
-                (min(x, y), max(x, y)) for x, y in zip(path, path[1:])
-            )
-            covered += interior
-        pool = [e for e in combinations(range(n), 2) if e not in edges]
-        if extra_edges > len(pool):
-            raise PreconditionError(
-                f"{extra_edges} chords requested but only {len(pool)} available"
-            )
-        edges.update(rng.sample(pool, extra_edges))
-        g = Graph(n, edges)
-    else:
+    if kind not in ("hamilton", "ears"):
         raise PreconditionError(f"unknown generator kind {kind!r}")
+    rng = random.Random(seed)
+    covered = n if kind == "hamilton" else rng.randint(3, n)
+    edges = {(i, (i + 1) % covered) for i in range(covered)}
+    edges = {(min(u, v), max(u, v)) for u, v in edges}
+    while covered < n:  # grow ears; a Hamilton cycle already covers all n
+        interior = rng.randint(1, n - covered)
+        a, b = rng.sample(range(covered), 2)
+        path = [a] + list(range(covered, covered + interior)) + [b]
+        edges.update((min(x, y), max(x, y)) for x, y in zip(path, path[1:]))
+        covered += interior
+    pool = [e for e in combinations(range(n), 2) if e not in edges]
+    if extra_edges > len(pool):
+        raise PreconditionError(f"{extra_edges} chords requested but only {len(pool)} available")
+    edges.update(rng.sample(pool, extra_edges))
+    g = Graph(n, edges)
     if not is_2_connected(g):
         raise AssertionError("generator produced a graph that is not 2-connected")
     return g

@@ -143,7 +143,7 @@ class _SortedAdjacency(dict):
 
 
 def _witness_paths(
-    adj: Sequence[list[int]] | dict[int, list[int]],
+    adj: _SortedAdjacency,
     colors: Sequence[int],
     u: int,
     targets: Sequence[int],
@@ -308,21 +308,20 @@ def _unreached(
     return unreached | pending
 
 
-def _reaches_all_from(g: Graph, colors: Sequence[int], sources) -> bool:
-    """True iff a rainbow path joins each of `sources` to every other vertex.
+def _first_failure(
+    g: Graph, colors: Sequence[int], block: int, budget: int, first: int = 0
+) -> tuple[int, int] | None:
+    """`(u, v)` for the first source u, from `first` up, that no qualifying
+    path joins to some v, the smallest such; None when there is none.
 
-    Each source runs `_unreached`, the search `verify_rainbow_vc` runs per
-    source, under the same per-source budget, against every vertex but
-    itself and the sources searched before it.
+    Each source runs `_unreached` against every vertex not yet searched as
+    a source, so from 0 this is the lexicographically first failing pair.
     """
-    colors, _ = _dense_colors(colors, None)
-    budget = node_budget_default()
-    done = set()
-    for u in sources:
-        done.add(u)
-        if _unreached(g, colors, u, [t for t in range(g.n) if t not in done], 0, budget):
-            return False
-    return True
+    for u in range(first, g.n):
+        unreached = _unreached(g, colors, u, [*range(first), *range(u + 1, g.n)], block, budget)
+        if unreached:
+            return u, min(unreached)
+    return None
 
 
 def verify_rainbow_vc(
@@ -346,13 +345,12 @@ def verify_rainbow_vc(
             f"coloring covers {len(colors)} vertices but the graph has {g.n}"
         )
     budget = node_budget if node_budget is not None else node_budget_default()
-    for u in range(g.n - 1):
-        unreached = _unreached(g, colors, u, range(u + 1, g.n), block, budget)
-        if unreached:
-            return Certificate("counterexample", failing_pair=(u, min(unreached)))
+    failing = _first_failure(g, colors, block, budget)
+    if failing:
+        return Certificate("counterexample", failing_pair=failing)
     witnesses = None
     if store_witnesses:
-        adj = [sorted(g.adj(w)) for w in range(g.n)]
+        adj = _SortedAdjacency(g)
         witnesses = {
             (u, v): path
             for u in range(g.n - 1)

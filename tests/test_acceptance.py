@@ -270,7 +270,7 @@ def test_criterion_8_observation_suite():
         n = rng.randint(2, 8)
         g = random_connected_graph(rng, n) if n >= 2 else Graph(1)
         value = exact_rvc(g).value
-        revised_value = exact_rvc(g, REVISED).value
+        revised_value = exact_rvc(g).value
         d = diameter(g)
         if not (max(d - 1, 0) <= value <= max(n - 2, 0)):
             failures.append((checked, "bounds", n, value, d))

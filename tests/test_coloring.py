@@ -36,7 +36,7 @@ from rvc import (
 )
 from rvc.coloring import SMALL_CYCLE_COLORINGS, _gate
 from rvc.decompose import Ear
-from rvc.verify import _reaches_all_from
+from rvc.verify import _first_failure
 
 from .test_acceptance import _chain_instance
 
@@ -195,6 +195,13 @@ class TestBalancedColoring:
         with pytest.raises(PreconditionError, match="star target is only meaningful"):
             balanced_coloring(h, cp, ear, star_target=1)
 
+    def test_host_coloring_that_fails_on_the_host_rejected(self):
+        # every structural check passes, but the host coloring fails on C8
+        h = Graph.cycle(8)
+        _, ear = attach_ear(h, 0, 3, 5)
+        with pytest.raises(PreconditionError, match=r"pair \(0, 4\)"):
+            balanced_coloring(h, Coloring((0, 0, 1, 1, 2, 2, 3, 3), 4), ear)
+
 
 class TestBalancedChain:
     def test_unservable_target_is_a_refutation(self):
@@ -221,9 +228,9 @@ class TestBalancedChain:
         # counted at the gate, which runs either the full or the interior-only check
         calls = Counter()
 
-        def counting(g, host, out, host_verified):
+        def counting(g, host, out):
             calls[g.n, tuple(out)] += 1
-            return _gate(g, host, out, host_verified)
+            return _gate(g, host, out)
 
         monkeypatch.setattr("rvc.coloring._gate", counting)
         n0, ears, target, _ = _chain_instance(108)
@@ -280,14 +287,15 @@ class TestInteriorOnlyGates:
             gates += 1
             return _gate(*args)
 
-        def checked(g, colors, sources):
-            got = _reaches_all_from(g, colors, sources)
-            assert got == verify_rainbow_vc(g, colors).verified, (g, colors)
-            verdicts[got] += 1
+        def checked(g, colors, block, budget, first=0):
+            got = _first_failure(g, colors, block, budget, first)
+            if first > 0:
+                assert (got is None) == verify_rainbow_vc(g, colors).verified, (g, colors)
+                verdicts[got is None] += 1
             return got
 
         monkeypatch.setattr("rvc.coloring._gate", counting_gate)
-        monkeypatch.setattr("rvc.coloring._reaches_all_from", checked)
+        monkeypatch.setattr("rvc.coloring._first_failure", checked)
         for seed in range(220):
             n0, ears, target, _ = _chain_instance(seed)
             try:
